@@ -37,6 +37,7 @@ from .ring import (
     perturb,
     rhs,
     symmetry_shift,
+    twisted_spectrum,
     twisted_state,
 )
 from .spectrum import SpectrumReport, alt_eigenvalue, kappa, spectrum_report, sufficient_condition, threshold

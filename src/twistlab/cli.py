@@ -188,7 +188,7 @@ def _build_parser():
     sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
     sp.add_argument("--mu", type=float, default=0.0)
     sp.add_argument("--t-end", type=float, default=2e6)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=1e-11)
     sp.add_argument("--amplitude", type=float, default=1e-2)
     sp.add_argument("--n-runs", type=int, default=4)
     sp.add_argument("--samples", type=int, default=0,

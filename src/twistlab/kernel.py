@@ -25,6 +25,10 @@ DEGENERACY_TOL = 1e-12
 
 _COEFFICIENT_NAMES = ("c2", "c3", "c4", "c5", "c6")
 
+#: Entries per block when ``w_hat`` and ``c1`` sweep a long mode list, so
+#: their temporaries stay in cache.
+_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class Params:
@@ -62,8 +66,15 @@ def w_hat(r, k):
     ``k``. Accepts scalar or integer-array ``k``.
     """
     k = np.asarray(k)
-    safe = np.where(k == 0, 1, k)
-    out = np.where(k == 0, 4.0 * r, 2.0 * np.sin(TWO_PI * k * r) / (math.pi * safe))
+    out = np.empty(k.shape)
+    flat_k, flat_out = k.reshape(-1), out.reshape(-1)
+    for a in range(0, k.size, _BLOCK):  # in place, block by block
+        kb, ob = flat_k[a:a + _BLOCK], flat_out[a:a + _BLOCK]
+        np.multiply(TWO_PI * kb, r, out=ob)
+        np.sin(ob, out=ob)
+        ob *= 2.0
+        np.divide(ob, math.pi * kb, out=ob, where=kb != 0)
+        ob[kb == 0] = 4.0 * r
     return float(out) if out.ndim == 0 else out
 
 
@@ -81,8 +92,32 @@ def c1(q, k, p):
     """
     k = np.asarray(k)
     W = lambda j: w_hat(p.r, j)
-    out = 0.25 * (W(q - k) + W(q + k)) - 0.25 * (2.0 + 4.0 * p.lam + 2.0 * p.mu) * w_hat(p.r, q)
+    n = abs(q) + int(np.abs(k).max(initial=0)) + 1
+    if k.dtype.kind == "i" and n <= 2 * k.size + 1:
+        # w_hat is even, so for a dense mode list one table of w_hat(r, 0..n-1)
+        # serves both q - k and q + k: one sine pass instead of two
+        table = w_hat(p.r, np.arange(n))
+        W = lambda j: table[np.abs(j)]
+    out = _twisted_c1(W, q, k, p.lam, p.mu)
     return float(out) if np.asarray(out).ndim == 0 else out
+
+
+def _twisted_c1(W, q, k, lam, mu):
+    """Twisted-state eigenvalues for kernel coefficients ``W(j)``: continuum or lattice.
+
+    ``0.25 * (W(q - k) + W(q + k)) - 0.25 * (2 + 4 lam + 2 mu) * W(q)``, with
+    array ``k`` swept in place, block by block.
+    """
+    shift = 0.25 * (2.0 + 4.0 * lam + 2.0 * mu) * W(q)
+    out = np.empty(np.shape(k))
+    flat_k, flat_out = np.ravel(k), out.reshape(-1)
+    for a in range(0, flat_k.size, _BLOCK):
+        kb, ob = flat_k[a:a + _BLOCK], flat_out[a:a + _BLOCK]
+        ob[:] = W(q - kb)
+        ob += W(q + kb)
+        ob *= 0.25
+        ob -= shift
+    return out
 
 
 def c1_param_gradient(q, k, p):

@@ -9,6 +9,10 @@ The pairwise, triplet, and quadruplet sums all reduce to circular
 convolutions of ``exp(i theta)`` against the weight vector, which the fast
 path evaluates with FFTs in O(M log M); the naive path evaluates the same
 convolutions by direct summation and serves as the oracle.
+
+Spectra are exact: :func:`twisted_spectrum` in closed form at a twisted state
+(circulant linearization, any M), dense eigenvalues of the analytic
+:func:`jacobian` at any other state with ``M <= DENSE_CAP``.
 """
 
 import math
@@ -20,9 +24,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg import get_lapack_funcs
 from scipy.optimize import brentq
-from scipy.sparse.linalg import LinearOperator, eigs
 
-from . import spectrum
+from . import kernel, spectrum
 from .errors import (
     ConsistencyError,
     ConvergenceError,
@@ -46,7 +49,7 @@ REPULSIVE = "repulsive"
 #: Dense eigensolver / Newton size limit (state dimension M).
 DENSE_CAP = 2000
 
-_FD_STEP = 1e-6          # finite-difference step for higher-order Jacobian columns
+_BLOCK_ELEMS = 1 << 18   # entries per row block of the O(M^2) fills (2 MiB of float64)
 _RCOND_LIMIT = 1e-12     # Newton Jacobian reciprocal-condition floor
 _SELF_CHECK_RTOL = 1e-9  # fft vs naive agreement in self-check mode
 
@@ -171,10 +174,18 @@ def best_shift_residual(theta_a, theta_b):
     if len(theta_b) != M:
         raise ValueError("states must have equal length")
     k = np.arange(M)
-    shifted = theta_a[(k[None, :] + k[:, None]) % M] - theta_a[:, None]  # row j = shift by j
-    residuals = np.max(np.abs(wrap_to_pi(shifted - theta_b[None, :])), axis=1)
+    residuals = np.empty(M)
+    for rows in _row_blocks(M):
+        shifted = theta_a[(k[None, :] + k[rows, None]) % M] - theta_a[rows, None]  # row j = shift by j
+        residuals[rows] = np.max(np.abs(wrap_to_pi(shifted - theta_b[None, :])), axis=1)
     j = int(np.argmin(residuals))
     return j, float(residuals[j])
+
+
+def _row_blocks(M):
+    """Slices of consecutive rows of an M-column table, ``_BLOCK_ELEMS`` entries each."""
+    step = max(1, _BLOCK_ELEMS // M)
+    return [slice(s, min(s + step, M)) for s in range(0, M, step)]
 
 
 def wrap_to_pi(x):
@@ -266,64 +277,59 @@ def rhs(theta, spec, weights, method="fft"):
     raise ValueError(f"unknown method {method!r}; expected 'fft', 'naive', or 'check'")
 
 
-def _pairwise_jacobian(theta, spec, weights):
-    """Analytic Jacobian of the pairwise term on the pinned coordinates 1..M-1."""
-    M = weights.M
-    idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
-    A = weights.b[idx] * np.cos(theta[None, :] - theta[:, None]) / M
+def jacobian(theta, spec, weights):
+    """Analytic Jacobian of :func:`rhs` on the pinned coordinates 1..M-1.
+
+    Every order adds its off-diagonal partials, gathered from circular
+    convolutions of ``exp(i theta)``, to one unpinned M x M matrix filled in
+    row blocks. Every order is invariant under a global phase shift, so the
+    diagonal is minus the row sum; pinning entry 0 subtracts row 0.
+    """
+    theta = _check_state(theta, weights)
+    M, p, orders = weights.M, spec.p, spec.include_orders
+    u = np.exp(1j * theta)
+    U = np.fft.fft(u)
+    B = weights.b_fft
+    if TRIPLET in orders:
+        bu = np.fft.ifft(B * U)                      # conv(b, u)
+    if QUADRUPLET in orders:
+        buu = np.fft.ifft(B * U * U)                 # conv(b, u, u)
+        bR = np.fft.ifft(B * (U * np.conj(U)))       # conv(b, autocorrelation of u)
+    cols = np.arange(M)
+    A = np.zeros((M, M))
+    for rows in _row_blocks(M):
+        k = cols[rows, None]
+        if PAIRWISE in orders:
+            A[rows] = weights.b[(k - cols) % M] * np.cos(theta[None, :] - theta[rows, None]) / M
+        if TRIPLET in orders:
+            A[rows] += (2.0 * p.lam / M**2) * (
+                np.conj(u[rows, None]) ** 2 * u * bu[(2 * k - cols) % M]).real
+        if QUADRUPLET in orders:
+            A[rows] += (p.mu / M**3) * (np.conj(u[rows, None]) * (
+                2.0 * u * bR[(k - cols) % M] - np.conj(u) * buu[(k + cols) % M])).real
     np.fill_diagonal(A, 0.0)
     np.fill_diagonal(A, -A.sum(axis=1))
     J = A[1:, 1:] - A[0, 1:]
-    return spec.sign_factor * J
-
-
-def _higher_order_spec(spec):
-    orders = tuple(o for o in spec.include_orders if o != PAIRWISE)
-    if not orders:
-        return None
-    return SystemSpec(p=spec.p, sign=spec.sign, include_orders=orders)
-
-
-def jacobian(theta, spec, weights, fd_step=_FD_STEP):
-    """Jacobian of :func:`rhs` on the pinned coordinates: analytic pairwise part,
-    central finite differences for the higher-order terms."""
-    theta = _check_state(theta, weights)
-    M = weights.M
-    J = (_pairwise_jacobian(theta, spec, weights)
-         if PAIRWISE in spec.include_orders else np.zeros((M - 1, M - 1)))
-    ho = _higher_order_spec(spec)
-    if ho is not None:
-        for m in range(1, M):
-            bumped = theta.copy()
-            bumped[m] = theta[m] + fd_step
-            fp = _rhs_fft(bumped, ho, weights)
-            bumped[m] = theta[m] - fd_step
-            fm = _rhs_fft(bumped, ho, weights)
-            J[:, m - 1] += (fp[1:] - fm[1:]) / (2.0 * fd_step)
+    J *= spec.sign_factor
     return J
 
 
-def _jacobian_operator(theta, spec, weights, fd_step=_FD_STEP):
-    """Matrix-free Jacobian action for iterative eigensolves."""
+def twisted_spectrum(q, spec, weights):
+    """Exact pinned Jacobian eigenvalues at the q-twisted state, descending.
+
+    The linearization at a twisted state is circulant, so its eigenvalues are
+    :func:`kernel.c1` with ``w_hat(r, j)`` replaced by the lattice
+    coefficients ``B_j = (2/M) Re FFT(b)_j``, for modes ``k = 1..M-1``. Any M;
+    the spec must include the pairwise term.
+    """
+    if PAIRWISE not in spec.include_orders:
+        raise ValueError("the twisted-state spectrum needs the pairwise term")
     M = weights.M
-    u = np.exp(1j * theta)
-    B = weights.b_fft
-    conv_u = np.fft.ifft(B * np.fft.fft(u))
-    diag = (np.conj(u) * conv_u).real / M
-    ho = _higher_order_spec(spec)
-
-    def matvec(v):
-        v_full = np.concatenate([[0.0], np.asarray(v, dtype=float)])
-        w = (np.conj(u) * np.fft.ifft(B * np.fft.fft(u * v_full))).real / M
-        out = spec.sign_factor * (w - diag * v_full)
-        out = out - out[0]
-        if ho is not None:
-            bp = _rhs_fft(_repin(theta + fd_step * v_full), ho, weights)
-            bm = _rhs_fft(_repin(theta - fd_step * v_full), ho, weights)
-            out = out + (bp - bm) / (2.0 * fd_step)
-        return out[1:]
-
-    return LinearOperator((M - 1, M - 1), matvec=matvec)
+    B = (2.0 / M) * weights.b_fft.real
+    lam = spec.p.lam if TRIPLET in spec.include_orders else 0.0
+    mu = spec.p.mu if QUADRUPLET in spec.include_orders else 0.0
+    vals = kernel._twisted_c1(lambda j: B[j % M], q, np.arange(1, M), lam, mu)
+    return np.sort(spec.sign_factor * vals)[::-1]
 
 
 def _repin(theta):
@@ -332,26 +338,19 @@ def _repin(theta):
     return theta
 
 
-def jacobian_spectrum(theta, spec, weights, n_eigs=None, dense_cap=DENSE_CAP):
+def jacobian_spectrum(theta, spec, weights, n_eigs=None):
     """Real parts of the Jacobian eigenvalues on the pinned coordinates, descending.
 
-    Dense below ``dense_cap``; above it an iterative (matrix-free) extraction
-    of ``n_eigs`` leading eigenvalues is used, which requires small ``n_eigs``.
+    Dense eigenvalues of the analytic :func:`jacobian`, for any state with
+    ``M <= DENSE_CAP``; larger rings raise :class:`ResourceLimitError`. At a
+    twisted state :func:`twisted_spectrum` gives the same values at any M.
+    ``n_eigs`` keeps only the leading values.
     """
-    theta = _check_state(theta, weights)
-    M = weights.M
-    if M <= dense_cap:
-        eig = np.linalg.eigvals(jacobian(theta, spec, weights))
-        parts = np.sort(eig.real)[::-1]
-        return parts if n_eigs is None else parts[:n_eigs]
-    if n_eigs is None or n_eigs > 64:
-        raise ResourceLimitError(
-            f"M={M} exceeds the dense cap {dense_cap}; request a small n_eigs "
-            "for iterative extraction"
-        )
-    op = _jacobian_operator(theta, spec, weights)
-    vals = eigs(op, k=n_eigs, which="LR", return_eigenvectors=False)
-    return np.sort(vals.real)[::-1]
+    if weights.M > DENSE_CAP:
+        raise ResourceLimitError(f"dense eigensolve needs M <= {DENSE_CAP}; got M={weights.M}")
+    eig = np.linalg.eigvals(jacobian(theta, spec, weights))
+    parts = np.sort(eig.real)[::-1]
+    return parts if n_eigs is None else parts[:n_eigs]
 
 
 @dataclass(frozen=True)
@@ -362,15 +361,17 @@ class IntegrationResult:
     samples: Optional[list] = None        # [(t, theta), ...] when requested
 
 
-def integrate(theta0, spec, weights, t_end, tol=1e-9, equilibrium_tol=1e-10,
+def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
               method="rk45", n_samples=0, rk4_step=None):
     """Integrate the ring until ``t_end`` or until the state is an equilibrium.
 
     The adaptive path is an embedded 5(4) Runge-Kutta pair with absolute and
     relative tolerance ``tol`` and a terminal equilibrium stop at
-    ``sup |rhs| < equilibrium_tol``. ``method="rk4"`` selects a fixed-step
-    classical RK4 walk (step ``rk4_step``) for bitwise-reproducible runs.
-    Entry 0 never drifts: its velocity is identically zero.
+    ``sup |rhs| < equilibrium_tol``; the default ``tol`` sits an order below the
+    stop, so the integrator's error on the field does not keep it from firing.
+    ``method="rk4"`` selects a fixed-step classical RK4 walk (step
+    ``rk4_step``) for bitwise-reproducible runs. Entry 0 never drifts: its
+    velocity is identically zero.
     """
     theta0 = _check_state(theta0, weights)
     if tol <= 0:
@@ -445,7 +446,7 @@ class EquilibriumResult:
 
 
 def newton_equilibrium(theta_init, spec, weights, max_iter=50, tol=1e-12,
-                       n_report_eigs=10, dense_cap=DENSE_CAP):
+                       n_report_eigs=10):
     """Damped Newton iteration for an equilibrium of the pinned system.
 
     Steps are halved (at most 30 times) until the residual decreases. Success
@@ -455,8 +456,8 @@ def newton_equilibrium(theta_init, spec, weights, max_iter=50, tol=1e-12,
     """
     theta = _check_state(theta_init, weights).copy()
     M = weights.M
-    if M > dense_cap:
-        raise ResourceLimitError(f"Newton refinement is dense-only; M={M} exceeds {dense_cap}")
+    if M > DENSE_CAP:
+        raise ResourceLimitError(f"Newton refinement is dense-only; M={M} exceeds {DENSE_CAP}")
     gecon = get_lapack_funcs("gecon", (np.empty((2, 2)),))
 
     def _finish(res, iteration):
@@ -510,51 +511,37 @@ def newton_equilibrium(theta_init, spec, weights, max_iter=50, tol=1e-12,
 def finite_threshold(q, M, kind=ATTRACTIVE, xtol=1e-6):
     """Finite-size bifurcation radius of the q-twisted state on an M-ring.
 
-    Bisects the sign of the relevant leading Jacobian eigenvalue at the
-    twisted state, using the continuous (fractional) weights; resolves the
-    radius to ``xtol`` (default 1e-6). Requires M >= 20 q so the profile is
-    resolved.
+    Brackets and refines the sign change of the leading eigenvalue of
+    :func:`twisted_spectrum` (pairwise coupling with the continuous,
+    fractional weights) around the continuum threshold; resolves the radius
+    to ``xtol`` (default 1e-6). Requires M >= 20 q so the profile is resolved.
     """
     if kind not in (ATTRACTIVE, REPULSIVE):
         raise ValueError(f"kind must be {ATTRACTIVE!r} or {REPULSIVE!r}")
     if M < 20 * q:
         raise ValueError(f"need M >= 20 q to resolve the twisted profile; got M={M}, q={q}")
-    theta = twisted_state(M, q)
-    p = Params(0.25, 0.0, 0.0)  # placeholder; r is the swept weight parameter
-    spec = SystemSpec(p=p, sign=kind, include_orders=(PAIRWISE,))
     # sign-normalized objective: negative below the threshold, positive above
     flip = 1.0 if kind == ATTRACTIVE else -1.0
 
     def g(r):
-        w = build_weights(M, r)
-        return flip * float(jacobian_spectrum(theta, spec, w, n_eigs=1)[0])
+        spec = SystemSpec(Params(r), sign=kind)
+        return flip * float(twisted_spectrum(q, spec, build_weights(M, r))[0])
 
     center = spectrum.threshold(
         q, spectrum.ATTRACTIVE_R0 if kind == ATTRACTIVE else spectrum.REPULSIVE_R0
     )
-    step = 1e-3
-    lo = hi = center
-    g_center = g(center)
-    if g_center < 0.0:
-        g_hi = g_center
-        for _ in range(60):
-            hi = min(hi + step, 0.5)
-            g_hi = g(hi)
-            if g_hi > 0.0 or hi >= 0.5:
-                break
-        if g_hi <= 0.0:
-            raise NoThresholdError(
-                f"leading eigenvalue does not change sign above r={center:.4f} (q={q}, M={M})"
-            )
-    else:
-        g_lo = g_center
-        for _ in range(60):
-            lo = max(lo - step, 2.0 / M)
-            g_lo = g(lo)
-            if g_lo < 0.0 or lo <= 2.0 / M:
-                break
-        if g_lo >= 0.0:
-            raise NoThresholdError(
-                f"leading eigenvalue does not change sign below r={center:.4f} (q={q}, M={M})"
-            )
-    return brentq(g, lo, hi, xtol=xtol)
+    # walk from the continuum centre towards the sign change, 1e-3 a step
+    up = g(center) < 0.0
+    r, edge = center, (0.5 if up else 2.0 / M)
+    for _ in range(60):
+        r = min(r + 1e-3, edge) if up else max(r - 1e-3, edge)
+        g_r = g(r)
+        found = g_r > 0.0 if up else g_r < 0.0
+        if found or r == edge:
+            break
+    if not found:
+        raise NoThresholdError(
+            f"leading eigenvalue does not change sign {'above' if up else 'below'} "
+            f"r={center:.4f} (q={q}, M={M})"
+        )
+    return brentq(g, min(center, r), max(center, r), xtol=xtol)

@@ -196,6 +196,16 @@ def test_simulate_small_ring(tmp_path):
     assert (out / "state_run1.csv").read_bytes() == (out2 / "state_run1.csv").read_bytes()
 
 
+def test_simulate_default_tol_reaches_equilibrium_stop(tmp_path):
+    code, out = run(["simulate", "--M", "100", "--q", "1", "--r", "0.3", "--lambda=0.5",
+                     "--mu=0.3", "--t-end", "1e3", "--n-runs", "1", "--seed", "1"],
+                    tmp_path, "simeq")
+    assert code == 0
+    (run0,) = json.loads((out / "simulate.json").read_text())["results"]["runs"]
+    assert run0["stop_reason"] == "equilibrium"
+    assert run0["t_reached"] < 1e3
+
+
 def test_equilibrium_command(tmp_path):
     code, out = run(["equilibrium", "--M", "150", "--q", "5", "--init", "z1",
                      "--s0=-1e-4"], tmp_path, "eq")

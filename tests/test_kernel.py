@@ -87,6 +87,33 @@ def test_c1_vectorized_matches_scalar():
         assert v == pytest.approx(c1(4, int(k), p), abs=1e-15)
 
 
+def test_w_hat_and_c1_long_and_irregular_mode_lists_match_closed_form():
+    # w_hat and c1 sweep several blocks; dense lists take c1's |j| table, sparse ones do not
+    rng = np.random.default_rng(3)
+    dense = np.arange(-20_000, 20_001)
+    mode_lists = [
+        np.arange(1, 30_001),
+        dense,
+        rng.permutation(dense)[:25_000].reshape(100, 250),
+        rng.integers(-10**7, 10**7, 3_000),
+        np.arange(1, 31, dtype=np.int32),
+    ]
+    for q, p in [(5, Params(0.118, 0.0, 0.0)), (2, Params(0.37, 0.4, -0.3))]:
+        for ks in mode_lists:
+            safe = np.where(ks == 0, 1, ks)
+            w_direct = np.where(
+                ks == 0, 4.0 * p.r, 2.0 * np.sin(2.0 * math.pi * ks * p.r) / (math.pi * safe)
+            )
+            np.testing.assert_array_equal(w_hat(p.r, ks), w_direct)
+            direct = (
+                0.25 * (w_hat(p.r, q - ks) + w_hat(p.r, q + ks))
+                - 0.25 * (2.0 + 4.0 * p.lam + 2.0 * p.mu) * w_hat(p.r, q)
+            )
+            got = c1(q, ks, p)
+            assert got.shape == ks.shape
+            np.testing.assert_allclose(got, direct, rtol=0, atol=1e-15)
+
+
 def test_c1_matches_quadrature_oracle():
     rng = np.random.default_rng(7)
     cases = [

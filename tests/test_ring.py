@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from twistlab import kernel, ring, spectrum
-from twistlab.errors import ConsistencyError, NoBifurcationError, ResourceLimitError
+from twistlab.errors import (
+    ConsistencyError,
+    NoBifurcationError,
+    NoThresholdError,
+    ResourceLimitError,
+)
 from twistlab.kernel import Params
 from twistlab.ring import (
+    DENSE_CAP,
     SystemSpec,
     best_shift_residual,
     build_weights,
@@ -18,6 +24,7 @@ from twistlab.ring import (
     perturb,
     rhs,
     symmetry_shift,
+    twisted_spectrum,
     twisted_state,
     wrap_to_pi,
 )
@@ -155,6 +162,80 @@ def test_jacobian_matches_finite_differences():
     assert np.max(np.abs(J - fd)) < 1e-5
 
 
+@pytest.mark.parametrize("M,orders", [
+    (48, ("triplet",)),
+    (48, ("quadruplet",)),
+    (61, ("pairwise", "triplet", "quadruplet")),
+])
+def test_higher_order_jacobian_matches_central_differences(M, orders):
+    # the analytic higher-order partials against central differences of the
+    # higher-order field (step 1e-6), added to the analytic pairwise block
+    p = Params(0.21, 0.6, 0.35)
+    w = build_weights(M, p.r)
+    theta = _random_state(M, M, scale=3.0)
+    spec = SystemSpec(p, include_orders=orders)
+    higher = SystemSpec(p, include_orders=tuple(o for o in orders if o != "pairwise"))
+    expected = (jacobian(theta, SystemSpec(p, include_orders=("pairwise",)), w)
+                if "pairwise" in orders else np.zeros((M - 1, M - 1)))
+    h = 1e-6
+    for m in range(1, M):
+        tp = theta.copy(); tp[m] += h
+        tm = theta.copy(); tm[m] -= h
+        expected[:, m - 1] += (rhs(tp, higher, w)[1:] - rhs(tm, higher, w)[1:]) / (2 * h)
+    assert np.max(np.abs(jacobian(theta, spec, w) - expected)) < 1e-8
+
+
+def test_row_blocking_does_not_change_results(monkeypatch):
+    M = 97
+    p = Params(0.23, 0.5, -0.3)
+    w = build_weights(M, p.r)
+    theta = _random_state(M, 6, scale=3.0)
+    other = symmetry_shift(theta, 40) + 1e-3 * np.sin(np.arange(M))
+    other[0] = 0.0
+    J = jacobian(theta, SystemSpec(p), w)
+    shift = best_shift_residual(theta, other)
+    # the one-table form of the shift search is the reference
+    k = np.arange(M)
+    table = theta[(k[None, :] + k[:, None]) % M] - theta[:, None]
+    residuals = np.max(np.abs(wrap_to_pi(table - other[None, :])), axis=1)
+    j = int(np.argmin(residuals))
+    assert shift == (j, float(residuals[j]))
+    monkeypatch.setattr(ring, "_BLOCK_ELEMS", 10 * M + 3)  # ten rows a block, a short last one
+    assert np.array_equal(jacobian(theta, SystemSpec(p), w), J)
+    assert best_shift_residual(theta, other) == shift
+
+
+@pytest.mark.parametrize("M", [200, 201])
+@pytest.mark.parametrize("p,orders,sign", [
+    (Params(0.24), ("pairwise",), "attractive"),
+    (Params(0.24), ("pairwise",), "repulsive"),
+    (Params(0.24, 0.3, 0.0), ("pairwise", "triplet"), "attractive"),
+    (Params(0.24, 0.3, 0.2), ("pairwise", "triplet", "quadruplet"), "attractive"),
+    (Params(0.13, -0.4, 0.7), ("pairwise", "triplet", "quadruplet"), "attractive"),
+])
+def test_twisted_spectrum_matches_dense_eigvals(M, p, orders, sign):
+    q = 3
+    w = build_weights(M, p.r)
+    spec = SystemSpec(p, sign=sign, include_orders=orders)
+    exact = twisted_spectrum(q, spec, w)
+    dense = np.linalg.eigvals(jacobian(twisted_state(M, q), spec, w))
+    assert len(exact) == M - 1
+    assert np.all(np.diff(exact) <= 0.0)
+    assert np.max(np.abs(exact - np.sort(dense.real)[::-1])) <= 1e-12
+    assert np.max(np.abs(dense.imag)) <= 1e-12
+
+
+def test_twisted_spectrum_needs_pairwise_and_runs_past_dense_cap():
+    p = Params(0.2, 0.5, 0.0)
+    w = build_weights(64, p.r)
+    with pytest.raises(ValueError):
+        twisted_spectrum(2, SystemSpec(p, include_orders=("triplet",)), w)
+    M = DENSE_CAP + 1
+    lead = twisted_spectrum(2, SystemSpec(p), build_weights(M, p.r))
+    expected = np.max(kernel.c1(2, np.arange(1, M), p))
+    assert lead[0] == pytest.approx(expected, abs=5.0 / M)
+
+
 def test_jacobian_spectrum_pairs_and_c1_convergence():
     q, p = 3, Params(0.24, 0.0, 0.0)
     for M in (200, 400):
@@ -165,12 +246,12 @@ def test_jacobian_spectrum_pairs_and_c1_convergence():
         assert np.max(np.abs(top[0::2] - top[1::2])) < 1e-8
         expected = np.sort(kernel.c1(q, np.arange(1, M), p))[::-1][:5]
         assert np.max(np.abs(top[0::2][:5] - expected)) < 5.0 / M
-    # higher orders included: pairing within finite-difference noise
+    # higher orders included: the analytic Jacobian pairs to roundoff too
     p2 = Params(0.24, 0.3, 0.2)
     M = 300
     eigs2 = jacobian_spectrum(twisted_state(M, q), SystemSpec(p2), build_weights(M, p2.r))
     top2 = eigs2[:10]
-    assert np.max(np.abs(top2[0::2] - top2[1::2])) < 1e-6
+    assert np.max(np.abs(top2[0::2] - top2[1::2])) <= 1e-12
     expected2 = np.sort(kernel.c1(q, np.arange(1, M), p2))[::-1][:5]
     assert np.max(np.abs(top2[0::2][:5] - expected2)) < 5.0 / M
 
@@ -185,16 +266,15 @@ def test_leading_eigenvalue_near_zero_at_continuum_threshold():
     assert lead > 0  # finite threshold sits below the continuum one
 
 
-def test_jacobian_spectrum_iterative_matches_dense():
-    M = 96
+def test_dense_paths_reject_rings_past_dense_cap():
+    M = DENSE_CAP + 1
     p = Params(0.18, 0.4, -0.3)
     w = build_weights(M, p.r)
-    theta = _random_state(M, 17, scale=0.5)
-    dense = jacobian_spectrum(theta, SystemSpec(p), w, n_eigs=4)
-    iterative = jacobian_spectrum(theta, SystemSpec(p), w, n_eigs=4, dense_cap=8)
-    assert np.allclose(dense, iterative, atol=1e-8)
+    theta = twisted_state(M, 2)
     with pytest.raises(ResourceLimitError):
-        jacobian_spectrum(theta, SystemSpec(p), w, dense_cap=8)
+        jacobian_spectrum(theta, SystemSpec(p), w, n_eigs=4)
+    with pytest.raises(ResourceLimitError):
+        newton_equilibrium(theta, SystemSpec(p), w)
 
 
 def test_integrate_immediate_equilibrium_stop():
@@ -268,12 +348,21 @@ def test_newton_converges_to_branch_equilibrium():
         assert np.max(np.abs(rhs(shifted, SystemSpec(Params(r_m + s0)), w))) < 1e-10
 
 
-def test_finite_threshold_values_and_errors():
+def test_finite_threshold_values_and_errors(monkeypatch):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("finite_threshold made a dense eigensolve")
+
+    monkeypatch.setattr(ring, "jacobian", no_dense)
     assert finite_threshold(5, 500, "attractive") == pytest.approx(0.065298, abs=2e-4)
     with pytest.raises(ValueError):
         finite_threshold(5, 60, "attractive")  # M < 20 q
     with pytest.raises(NoBifurcationError):
         finite_threshold(1, 100, "repulsive")
+    # a continuum centre too far from the finite threshold exhausts the 60-step walk
+    for centre, side in ((0.001, "above"), (0.49, "below")):
+        monkeypatch.setattr(spectrum, "threshold", lambda q, kind, c=centre: c)
+        with pytest.raises(NoThresholdError, match=side):
+            finite_threshold(5, 500, "attractive")
 
 
 def test_symmetry_shift_properties():
@@ -319,6 +408,23 @@ def test_best_shift_residual_recovers_shift():
     j, resid = best_shift_residual(shifted, theta)
     assert (j + 37) % 128 == 0 or resid < 1e-12
     assert resid < 1e-12
+
+
+def test_best_shift_residual_memory_is_bounded():
+    import tracemalloc
+
+    M = 2048
+    theta = twisted_state(M, 3) + 0.05 * np.sin(TWO_PI * 2 * np.arange(M) / M)
+    theta[0] = 0.0
+    shifted = symmetry_shift(theta, 100)
+    tracemalloc.start()
+    try:
+        j, resid = best_shift_residual(shifted, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (j + 100) % M == 0 and resid < 1e-12
+    assert peak < 16 * 2**20
 
 
 def test_self_check_catches_disagreement(monkeypatch):
