@@ -243,16 +243,16 @@ def stability_column(q, r, lambda_values, tol=1e-4):
     Returns ``(sup_row, boundary_point_or_None, flag_or_None)`` where
     ``sup_row`` holds the leading eigenvalue at each lambda, the boundary
     point classifies the sign change when one occurs inside the range, and
-    a flag carries the reason when classification is impossible.
+    a flag carries the reason when classification is impossible. The
+    supremum at ``lam = 0`` and its mode come from
+    :func:`spectrum.certified_extreme`: the mode list grows from
+    ``max(4q, 64)`` until the truncation bound settles the supremum, up to
+    ``mode_cutoff(q, tol)`` modes.
     """
     lambda_values = np.asarray(lambda_values, dtype=float)
-    ks = np.arange(1, spectrum.mode_cutoff(q, tol) + 1)
-    p0 = Params(r, 0.0, 0.0)
-    base_values = kernel.c1(q, ks, p0)
-    tail0 = kernel.tail_limit(q, p0)
+    m0, ell = spectrum.certified_extreme(q, Params(r, 0.0, 0.0), tol=tol)
     wq = kernel.w_hat(r, q)
     # every eigenvalue and the tail shift linearly in lam with the common slope -wq
-    m0 = max(float(base_values.max()), tail0)
     sup = m0 - lambda_values * wq
     if abs(wq) < kernel.DEGENERACY_TOL:
         return sup, None, (float(r), "kernel coefficient vanishes at the twist mode")
@@ -263,7 +263,6 @@ def stability_column(q, r, lambda_values, tol=1e-4):
     j = int(flips[0])
     lam_c = brentq(lambda lam: m0 - lam * wq,
                    lambda_values[j], lambda_values[j + 1], xtol=1e-12)
-    ell = int(np.argmax(base_values)) + 1
     try:
         curve = linear_curve(q, ell, Params(min(r, 0.5 - 1e-12), lam_c, 0.0),
                              (0.0, 1.0, 0.0), crossing_tol=1e-6)

@@ -468,19 +468,17 @@ def _curve_from_gamma_args(p):
         r0 = spectrum.threshold(q, spectrum.REPULSIVE_R0)
         ell = p.get("ell")
         if ell is None:
-            rep = spectrum.spectrum_report(q, Params(r0 + 1e-9), tol=1e-6)
-            ell = int(rep.ks[np.argmin(rep.values)])
+            ell = spectrum.repulsive_critical_mode(q, r0)
     else:
         r0, ell = p["r0"], p.get("ell")
         if ell is None:
-            vals = kernel.c1(q, np.arange(1, spectrum.mode_cutoff(q, 1e-6) + 1),
-                             Params(r0, p["lam"], p["mu"]))
-            near = np.nonzero(np.abs(vals) < bifurcation.CROSSING_TOL)[0]
+            near = spectrum.near_zero_modes(q, Params(r0, p["lam"], p["mu"]),
+                                            bifurcation.CROSSING_TOL)
             if len(near) == 0:
                 raise ValueError("no near-zero eigenvalue at the given base; pass --ell")
             if len(near) > 1:
-                raise ValueError(f"multiple near-zero modes {list(near + 1)}; pass --ell")
-            ell = int(near[0]) + 1
+                raise ValueError(f"multiple near-zero modes {list(near)}; pass --ell")
+            ell = int(near[0])
     base = Params(r0, p["lam"], p["mu"])
     if p["family"] == "r-linear":
         direction = (1.0, 0.0, 0.0)
@@ -499,8 +497,7 @@ def _gamma_ratio_row(q, kind):
         ell = 1
     else:
         r0 = spectrum.threshold(q, spectrum.REPULSIVE_R0)
-        rep = spectrum.spectrum_report(q, Params(r0 + 1e-9), tol=1e-6)
-        ell = int(rep.ks[np.argmin(rep.values)])
+        ell = spectrum.repulsive_critical_mode(q, r0)
     report = bifurcation.gamma_pair(bifurcation.linear_curve(q, ell, Params(r0), (1.0, 0.0, 0.0)))
     ratio = report.gamma2 / (report.gamma1 * q)
     return [str(q), str(ell), _fmt(r0), _fmt(report.gamma1), _fmt(report.gamma2), _fmt(ratio)]

@@ -371,7 +371,9 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
     stop, so the integrator's error on the field does not keep it from firing.
     ``method="rk4"`` selects a fixed-step classical RK4 walk (step
     ``rk4_step``) for bitwise-reproducible runs. Entry 0 never drifts: its
-    velocity is identically zero.
+    velocity is identically zero. At each accepted step the equilibrium stop
+    reads the field the solver has just evaluated at that state; only the
+    stop's root finding evaluates the field afresh.
     """
     theta0 = _check_state(theta0, weights)
     if tol <= 0:
@@ -412,12 +414,20 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
     if method != "rk45":
         raise ValueError(f"unknown method {method!r}; expected 'rk45' or 'rk4'")
 
+    last = [None, None]  # the solver's latest (state, field)
+
+    def field(t, y):
+        last[:] = y.copy(), f(y)
+        return last[1]
+
     def event(t, y):
-        return float(np.max(np.abs(f(y))) - equilibrium_tol)
+        # an accepted step ends where the solver last evaluated the field
+        fy = last[1] if np.array_equal(y, last[0]) else f(y)
+        return float(np.max(np.abs(fy)) - equilibrium_tol)
 
     event.terminal = True
     event.direction = -1
-    sol = solve_ivp(lambda t, y: f(y), (0.0, t_end), theta0, method="RK45",
+    sol = solve_ivp(field, (0.0, t_end), theta0, method="RK45",
                     rtol=tol, atol=tol, events=event, t_eval=sample_ts)
     if sol.status == -1:
         raise StiffnessError(f"integration step failed: {sol.message}",

@@ -2,8 +2,13 @@
 
 The eigenvalue sequence ``c1(q, k, p)`` accumulates only at its tail limit, so
 a finite mode list plus an analytic tail bound certifies suprema and infima
-over all modes. Threshold radii are located by a coarse scan followed by
-bracketed root refinement.
+over all modes. Every extreme and every sign test over all modes lists the
+first ``K`` modes, with ``K`` doubling from ``max(4q, 64)`` up to
+``mode_cutoff(q, tol)``, and stops as soon as :func:`truncation_bound` (plus
+a roundoff margin) shows that the unlisted modes cannot change the result.
+Listed values do not depend on ``K``, so every result equals the one the
+full ``mode_cutoff`` list gives, bit for bit. Threshold radii are located by
+a coarse scan followed by bracketed root refinement.
 """
 
 import math
@@ -27,6 +32,10 @@ ALT_FAMILIES = ("general_d", "product4", "triangle")
 
 _SCAN_STEP = 1e-3
 _REFINE_XTOL = 1e-12
+
+#: Added to ``truncation_bound`` when it decides a test: computed ``c1``
+#: values of order one carry a few ulps of rounding error.
+_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,21 +94,79 @@ def spectrum_report(q, p, tol=1e-6):
     )
 
 
+def _listed_c1(q, p, settled, ceiling):
+    """``c1(q, 1..K, p)`` for the first ``K`` at which ``settled(values, band)`` holds.
+
+    ``K`` starts at ``max(4q, 64)`` and doubles up to ``ceiling``, where the
+    list is returned whatever ``settled`` says. Every unlisted mode lies
+    within ``band`` of the tail limit, so ``settled`` holds once those modes
+    cannot change the caller's result. ``c1`` reads a dense mode list from
+    one table, so the listed values do not depend on ``K``: a result computed
+    from the returned list equals the one computed from the ceiling list.
+    """
+    K = max(4 * q, 64)
+    while K < ceiling:
+        values = kernel.c1(q, np.arange(1, K + 1), p)
+        if settled(values, truncation_bound(q, K) + _ROUNDOFF):
+            return values
+        K = 2 * K
+    return kernel.c1(q, np.arange(1, ceiling + 1), p)
+
+
+def _max_except(values, ell):
+    """Largest listed value over the modes other than ``ell``."""
+    return max(values[:ell - 1].max(initial=-np.inf), values[ell:].max(initial=-np.inf))
+
+
+def certified_extreme(q, p, lowest=False, tol=1e-6):
+    """Supremum (infimum when ``lowest``) of ``c1(q, k, p)`` over all modes, and its listed mode.
+
+    Returns ``(value, k)``: ``value`` is the listed extreme against the tail
+    limit, the same as over the first ``mode_cutoff(q, tol)`` modes; ``k`` is
+    the listed mode of largest (smallest) value, which attains ``value``
+    unless the tail does.
+    """
+    tail = kernel.tail_limit(q, p)
+    ceiling = mode_cutoff(q, tol)
+    if lowest:
+        values = _listed_c1(q, p, lambda v, band: v.min() < tail - band, ceiling)
+        i = int(np.argmin(values))
+        return min(float(values[i]), tail), i + 1
+    values = _listed_c1(q, p, lambda v, band: v.max() > tail + band, ceiling)
+    i = int(np.argmax(values))
+    return max(float(values[i]), tail), i + 1
+
+
+def repulsive_critical_mode(q, r0):
+    """Mode whose eigenvalue crosses zero at the repulsive threshold ``r0``: lowest just above it."""
+    return certified_extreme(q, Params(r0 + 1e-9), lowest=True)[1]
+
+
+def near_zero_modes(q, p, crossing_tol):
+    """Modes ``k`` with ``|c1(q, k, p)| < crossing_tol``, ascending, over all modes.
+
+    Settled once every unlisted mode, within the tail band, is farther than
+    ``crossing_tol`` from zero; the ceiling is ``mode_cutoff(q, 1e-6)`` modes.
+    """
+    tail = kernel.tail_limit(q, p)
+    values = _listed_c1(q, p, lambda v, band: abs(tail) > band + crossing_tol,
+                        mode_cutoff(q, 1e-6))
+    return np.nonzero(np.abs(values) < crossing_tol)[0] + 1
+
+
 def kappa(q, ell, p, tol=1e-6):
-    """Supremum of ``c1(q, k, p)`` over all modes ``k != ell``, certified to ``tol``."""
+    """Supremum of ``c1(q, k, p)`` over all modes ``k != ell``, certified to ``tol``.
+
+    The list grows until its largest value over ``k != ell`` clears the tail
+    band of :func:`truncation_bound`, or reaches ``max(mode_cutoff(q, tol),
+    ell + 1)`` modes.
+    """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
-    K = max(mode_cutoff(q, tol), ell + 1)
-    ks = np.arange(1, K + 1)
-    values = kernel.c1(q, ks, p)
-    values[ell - 1] = -np.inf
-    return max(float(values.max()), kernel.tail_limit(q, p))
-
-
-def _certified_min(q, p, ks):
-    """Lower envelope over all modes: listed minimum against the tail."""
-    values = kernel.c1(q, ks, p)
-    return min(float(values.min()), kernel.tail_limit(q, p))
+    tail = kernel.tail_limit(q, p)
+    values = _listed_c1(q, p, lambda v, band: _max_except(v, ell) > tail + band,
+                        max(mode_cutoff(q, tol), ell + 1))
+    return max(float(_max_except(values, ell)), tail)
 
 
 def _scan_first_sign_change(f, r_grid):
@@ -121,6 +188,11 @@ def threshold(q, kind):
     is positive (requires ``q >= 2``).
     ``r_star``: radius past which the leading mode is the twist mode itself,
     estimated by a downward grid scan with bracket refinement.
+
+    The repulsive and ``r_star`` tests over all modes list ``max(4q, 64)``
+    modes, doubling until the truncation bound settles each test (a sign or
+    comparison on the grid, the exact infimum in the refinement), up to
+    ``mode_cutoff(q, 1e-6)`` modes; every result equals the full-list one.
     """
     if q < 1:
         raise ValueError("twist number q must be a positive integer")
@@ -135,27 +207,39 @@ def threshold(q, kind):
             raise NoThresholdError(f"mode-1 eigenvalue never becomes positive for q={q}")
         return brentq(f, grid[i - 1], grid[i], xtol=_REFINE_XTOL)
 
+    ceiling = mode_cutoff(q, 1e-6)
     if kind == REPULSIVE_R0:
         if q == 1:
             raise NoBifurcationError(
                 "q=1 twisted states never gain stability under sign reversal: no bifurcation"
             )
-        ks = np.arange(1, mode_cutoff(q, 1e-6) + 1)
-        f = lambda r: _certified_min(q, Params(r, 0.0, 0.0), ks)
+
+        def lowest_sign(r):
+            # a value with the sign of the infimum: settled once the listed one
+            # is not positive or the whole tail band is
+            p = Params(r, 0.0, 0.0)
+            tail = kernel.tail_limit(q, p)
+            values = _listed_c1(q, p, lambda v, band: min(v.min(), tail) <= 0.0 or tail > band,
+                                ceiling)
+            return min(float(values.min()), tail)
+
         grid = np.arange(_SCAN_STEP, 0.5 + _SCAN_STEP / 2, _SCAN_STEP)
-        i = _scan_first_sign_change(f, grid)
+        i = _scan_first_sign_change(lowest_sign, grid)
         if i is None:
             raise NoThresholdError(f"no radius window with all-positive eigenvalues for q={q}")
-        return brentq(f, grid[i - 1], grid[i], xtol=_REFINE_XTOL)
+        lowest = lambda r: certified_extreme(q, Params(r, 0.0, 0.0), lowest=True)[0]
+        return brentq(lowest, grid[i - 1], grid[i], xtol=_REFINE_XTOL)
 
     if kind == R_STAR:
-        ks = np.arange(1, mode_cutoff(q, 1e-6) + 1)
 
         def leading_is_twist(r):
-            values = kernel.c1(q, ks, Params(r, 0.0, 0.0))
-            vq = values[q - 1]
-            values[q - 1] = -np.inf
-            return vq >= max(float(values.max()), kernel.tail_limit(q, Params(r, 0.0, 0.0)))
+            p = Params(r, 0.0, 0.0)
+            tail = kernel.tail_limit(q, p)
+            leads = lambda v: v[q - 1] >= max(_max_except(v, q), tail)
+            # settled once the twist mode trails a listed value, or clears the tail band
+            values = _listed_c1(q, p, lambda v, band: not leads(v) or v[q - 1] > tail + band,
+                                ceiling)
+            return leads(values)
 
         grid = np.arange(0.5, _SCAN_STEP / 2, -_SCAN_STEP)
         if not leading_is_twist(grid[0]):

@@ -267,3 +267,29 @@ def test_stability_map_flags_degenerate_columns():
     smap = stability_map(2, (0.25, 0.25 + 1e-12), (-1.0, 1.0), grid=(2, 8), tol=1e-4)
     assert len(smap.flags) >= 1
     assert len(smap.boundary) == 0
+
+
+def test_stability_column_equals_full_list_values():
+    # float.hex of the sup row on the full mode_cutoff(8, 1e-4) list, before the
+    # truncation bound decided when a list is long enough; r = 0.16 has a boundary
+    golden = {
+        0.16: ["0x1.182800e0d547cp-2", "0x1.e044c0632fe66p-3", "0x1.90397f04b53d4p-3",
+               "0x1.402e3da63a943p-3", "0x1.e045f88f7fd62p-4", "0x1.402f75d28a83ep-4",
+               "0x1.4031e62b2a636p-5", "0x1.382c4fefc0000p-19", "-0x1.402824c8aae58p-5"],
+        0.5: ["0x1.ffffffffffffdp-2", "0x1.ffffffffffffep-2", "0x1.fffffffffffffp-2",
+              "0x1.fffffffffffffp-2", "0x1.0000000000000p-1", "0x1.0000000000000p-1",
+              "0x1.0000000000001p-1", "0x1.0000000000001p-1", "0x1.0000000000001p-1"],
+    }
+    q, tol = 8, 1e-4
+    lams = np.linspace(-2.0, 2.0, 9)
+    for r, expected in golden.items():
+        sup, point, flag = bifurcation.stability_column(q, r, lams, tol=tol)
+        assert [v.hex() for v in sup] == expected, r
+        p0 = Params(r)
+        values = kernel.c1(q, np.arange(1, spectrum.mode_cutoff(q, tol) + 1), p0)
+        m0 = max(float(values.max()), kernel.tail_limit(q, p0))
+        assert np.array_equal(sup, m0 - lams * w_hat(r, q))
+        if point is not None:
+            assert point.ell == int(np.argmax(values)) + 1
+    sup, point, flag = bifurcation.stability_column(q, 0.16, lams, tol=tol)
+    assert (point.lam.hex(), point.ell, flag) == ("0x1.8001f333dda97p+0", 8, None)

@@ -253,3 +253,12 @@ def test_gamma_ratio_sweep_preset_override(tmp_path):
     assert len(lines) == 6  # q = 2..6
     last = lines[-1].split(",")
     assert float(last[5]) == pytest.approx(1.77, rel=5e-2)
+
+
+def test_gamma_explicit_base_detects_crossing_mode(tmp_path):
+    # the attractive q = 5 threshold, written out: mode 1 crosses there
+    code, out = run(["gamma", "--q", "5", "--r0", "0.06632201078639745"], tmp_path, "g")
+    assert code == 0
+    assert json.loads((out / "gamma.json").read_text())["results"]["ell"] == 1
+    code, _ = run(["gamma", "--q", "5", "--r0", "0.3"], tmp_path, "g2")
+    assert code == 2  # q r = 3/2: every fifth mode is near zero

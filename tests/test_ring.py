@@ -301,6 +301,50 @@ def test_integrate_relaxes_to_stable_twisted_state():
     assert np.max(np.abs(wrap_to_pi(out.theta - twisted_state(M, q)))) < 1e-6
 
 
+def test_integrate_stop_reads_the_solvers_field_at_accepted_steps(monkeypatch):
+    # beyond the solver's own evaluations, integrate evaluates the field once
+    # up front, once for the stop at t = 0 and at most once per root-finding
+    # point of the stop; an accepted step costs the stop nothing
+    import scipy.integrate._ivp.ivp as ivp
+
+    counts = {"rhs": 0, "root": 0}
+    solver = []
+    rhs_fft, solve_ivp, solve_event = ring._rhs_fft, ring.solve_ivp, ivp.solve_event_equation
+
+    def counted_rhs(*args):
+        counts["rhs"] += 1
+        return rhs_fft(*args)
+
+    def counted_solve(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        solver.append(sol)
+        return sol
+
+    def counted_event_solve(event, sol, t_old, t):
+        def counted_event(tt, y):
+            counts["root"] += 1
+            return event(tt, y)
+        return solve_event(counted_event, sol, t_old, t)
+
+    monkeypatch.setattr(ring, "_rhs_fft", counted_rhs)
+    monkeypatch.setattr(ring, "solve_ivp", counted_solve)
+    monkeypatch.setattr(ivp, "solve_event_equation", counted_event_solve)
+    q, M = 3, 120
+    p = Params(spectrum.threshold(q, spectrum.ATTRACTIVE_R0) - 5e-3)
+    w, spec = build_weights(M, p.r), SystemSpec(p)
+    theta0 = perturb(twisted_state(M, q), 1e-4, seed=12)
+
+    out = integrate(theta0, spec, w, t_end=5.0, tol=1e-10)
+    assert out.stop_reason == "t_end" and counts["root"] == 0
+    assert counts["rhs"] == solver[-1].nfev + 2
+
+    counts.update(rhs=0, root=0)
+    out = integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
+    steps = len(solver[-1].t) - 1
+    assert out.stop_reason == "equilibrium" and 0 < counts["root"] < steps
+    assert solver[-1].nfev + 2 <= counts["rhs"] <= solver[-1].nfev + 2 + counts["root"]
+
+
 def test_integrate_rk4_matches_rk45_short_horizon():
     M = 40
     p = Params(0.23, 0.2, 0.0)

@@ -216,3 +216,111 @@ def test_alt_eigenvalue_validation():
         alt_eigenvalue("nope", 2, 0.2, 1)
     with pytest.raises(ValueError):
         alt_eigenvalue("general_d", 2, 0.2, 1)  # missing m_last
+
+
+# float.hex of threshold(q, kind) as computed on the full mode_cutoff(q, 1e-6)
+# list, before the truncation bound decided when a list is long enough
+_GOLDEN_THRESHOLDS = {
+    spectrum.ATTRACTIVE_R0: {
+        1: "0x1.5ca1eaf07e5e4p-2", 2: "0x1.55555555556eap-3", 3: "0x1.c58a1b7d40ac7p-4",
+        5: "0x1.0fa7ab3552119p-4", 8: "0x1.535ed8d433852p-5", 13: "0x1.a1970e7ece368p-6",
+        30: "0x1.69deb72674d47p-7", 50: "0x1.b23c93eb271fdp-8",
+    },
+    spectrum.REPULSIVE_R0: {
+        2: "0x1.1c395bcb306dap-2", 3: "0x1.880e2a0516cb1p-3", 5: "0x1.df66722639954p-4",
+        8: "0x1.2bf66249cbe37p-4", 13: "0x1.718817a998759p-5", 30: "0x1.40323f36761fbp-6",
+        50: "0x1.804aa3c94b0d5p-7",
+    },
+    spectrum.R_STAR: {
+        1: "0x1.0624dd2f1a200p-10", 2: "0x1.6016041893741p-3", 3: "0x1.3b374bc6a7eefp-3",
+        5: "0x1.ab3f7ced9166ep-4", 8: "0x1.91f0a3d70a3bep-4", 13: "0x1.3603126e978bap-4",
+        30: "0x1.987ef9db22cd5p-5", 50: "0x1.26eb851eb84e3p-5",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", spectrum.THRESHOLD_KINDS)
+def test_thresholds_equal_full_list_values(kind):
+    for q, expected in _GOLDEN_THRESHOLDS[kind].items():
+        assert float(threshold(q, kind)).hex() == expected, (kind, q)
+
+
+def _full_list_kappa(q, ell, p, tol=1e-6):
+    values = kernel.c1(q, np.arange(1, max(mode_cutoff(q, tol), ell + 1) + 1), p)
+    values[ell - 1] = -np.inf
+    return max(float(values.max()), kernel.tail_limit(q, p))
+
+
+def test_kappa_equals_full_list_value():
+    # (q, ell, (r, lam, mu), float.hex of kappa on the full list); ell = 200
+    # lies past the first list of max(4q, 64) modes
+    golden = [
+        (5, 1, (0.06632201078639745, 0.0, 0.0), "-0x1.0857c06d8c800p-14"),
+        (5, 11, (0.11787, 0.0, 0.0), "0x1.542fddc8ab233p-3"),
+        (8, 8, (0.3, 0.5, 0.1), "0x1.b95d5859d44fbp-4"),
+        (13, 2, (0.07, -0.2, 0.3), "0x1.386605a4f0b1ep-4"),
+        (2, 200, (0.2, 0.0, 0.0), "0x1.1906858d30d1bp-4"),
+    ]
+    for q, ell, p, expected in golden:
+        p = Params(*p)
+        got = kappa(q, ell, p)
+        assert got.hex() == expected, (q, ell)
+        assert got.hex() == _full_list_kappa(q, ell, p).hex()
+
+
+def _count_c1_modes(monkeypatch):
+    sizes = []
+    c1 = kernel.c1
+
+    def counted(q, k, p):
+        sizes.append(int(np.size(k)))
+        return c1(q, k, p)
+
+    monkeypatch.setattr(kernel, "c1", counted)
+    return sizes
+
+
+def test_repulsive_threshold_lists_few_modes(monkeypatch):
+    # the full list at every scan point and root-finder iterate is ~1.6e8 values
+    sizes = _count_c1_modes(monkeypatch)
+    threshold(5, spectrum.REPULSIVE_R0)
+    assert 0 < sum(sizes) < 5e6
+
+
+def test_unsettled_tests_grow_to_the_full_list(monkeypatch):
+    # at r = 1/2 every w_hat(r, j != 0) vanishes up to rounding, so every mode
+    # but the twist mode sits on the tail, inside any tail band: neither the
+    # supremum over k != q nor the infimum settles before the ceiling
+    sizes = _count_c1_modes(monkeypatch)
+    q, p = 3, Params(0.5)
+    ceiling = mode_cutoff(q, 1e-6)
+    got = kappa(q, q, p)
+    assert max(sizes) == ceiling and len(sizes) > 1
+    assert got.hex() == _full_list_kappa(q, q, p).hex()
+
+    sizes.clear()
+    value, k = spectrum.certified_extreme(q, p, lowest=True)
+    assert max(sizes) == ceiling and len(sizes) > 1
+    full = kernel.c1(q, np.arange(1, ceiling + 1), p)
+    assert value == min(float(full.min()), kernel.tail_limit(q, p))
+    assert k == int(np.argmin(full)) + 1
+
+
+def test_repulsive_critical_mode_equals_full_list_argmin():
+    for q, ell in {2: 5, 3: 7, 5: 11, 8: 17, 13: 28, 30: 65}.items():
+        r0 = threshold(q, spectrum.REPULSIVE_R0)
+        assert spectrum.repulsive_critical_mode(q, r0) == ell, q
+    r0 = threshold(5, spectrum.REPULSIVE_R0)
+    rep = spectrum_report(5, Params(r0 + 1e-9), tol=1e-6)
+    assert int(rep.ks[np.argmin(rep.values)]) == 11
+
+
+def test_near_zero_modes_equal_full_list():
+    # q r = 3/2 puts the tail at zero, so near-zero modes recur along the whole
+    # list and the test runs to the ceiling
+    r0 = threshold(5, spectrum.ATTRACTIVE_R0)
+    for q, p in ((5, Params(r0)), (5, Params(0.3)), (8, Params(0.2, 0.3, 0.1))):
+        full = kernel.c1(q, np.arange(1, mode_cutoff(q, 1e-6) + 1), p)
+        expected = np.nonzero(np.abs(full) < 1e-6)[0] + 1
+        assert np.array_equal(spectrum.near_zero_modes(q, p, 1e-6), expected)
+    assert list(spectrum.near_zero_modes(5, Params(r0), 1e-6)) == [1]
