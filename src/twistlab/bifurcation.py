@@ -278,18 +278,17 @@ def stability_column(q, r, lambda_values, tol=1e-4):
 def stability_map(q, r_range, lambda_range, grid, tol=1e-4):
     """Sweep the (r, lam) plane at mu = 0; classify the zero contour of the leading eigenvalue.
 
-    ``r_range`` and ``lambda_range`` are (lo, hi) pairs; ``grid`` is the pair
-    of sample counts. Columns where the kernel coefficient at the twist mode
-    vanishes are flagged and carry no boundary point. Columns are independent
-    (see :func:`stability_column`), so the sweep parallelizes; results are
-    deterministic either way.
+    ``r_range`` and ``lambda_range`` are (lo, hi) pairs, either way round;
+    ``grid`` is the pair of sample counts. Columns where the kernel
+    coefficient at the twist mode vanishes are flagged and carry no boundary
+    point.
     """
     n_r, n_lam = grid
     if n_r < 2 or n_lam < 2:
-        raise ValueError("grid must be at least 2 x 2")
+        raise ValueError(f"grid must be at least 2 x 2, got {n_r} x {n_lam}")
     r_values = np.linspace(r_range[0], r_range[1], n_r)
-    if not (0.0 < r_values[0] and r_values[-1] <= 0.5):
-        raise ValueError("r_range must lie in (0, 1/2]")
+    if not (0.0 < r_values.min() and r_values.max() <= 0.5):
+        raise ValueError(f"r_range must lie in (0, 1/2], got {tuple(r_range)}")
     lambda_values = np.linspace(lambda_range[0], lambda_range[1], n_lam)
 
     max_eig = np.empty((n_r, n_lam))

@@ -2,17 +2,14 @@
 
 Every run writes a JSON envelope (schema 1) echoing the full configuration,
 plus fixed-schema CSV files per command. Deterministic commands produce
-byte-identical outputs for identical configurations, regardless of the
-worker-pool size.
+byte-identical outputs for identical configurations.
 """
 
 import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,9 +19,6 @@ from . import __version__, bifurcation, kernel, ring, spectrum
 from .errors import DomainError
 from .kernel import Params
 
-COMMANDS = ("kernel", "spectrum", "thresholds", "gamma", "branch", "simulate",
-            "equilibrium", "stability-map", "iota")
-
 PRESETS = {
     "spectrum": ("fig2",),
     "gamma": ("fig3a", "fig3b"),
@@ -33,6 +27,10 @@ PRESETS = {
     "simulate": ("fig6",),
     "iota": ("fig7",),
 }
+
+_THRESHOLD_KINDS = {"attractive": spectrum.ATTRACTIVE_R0, "repulsive": spectrum.REPULSIVE_R0,
+                    "r-star": spectrum.R_STAR}
+_R_LINEAR = (1.0, 0.0, 0.0)
 
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
@@ -45,7 +43,6 @@ class RunConfig:
     parameters: dict
     output_dir: Path
     seed: int = 0
-    threads: int = 1
     formats: tuple = ("csv", "json")
     gnuplot: bool = False
 
@@ -66,15 +63,6 @@ def _fmt(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return str(x)
-
-
-def _resolve_threads(value):
-    if value in (None, "auto"):
-        env = os.environ.get("TWISTLAB_THREADS", "")
-        if env and env != "auto":
-            return max(1, int(env))
-        return max(1, os.cpu_count() or 1)
-    return max(1, int(value))
 
 
 def _parse_range(text):
@@ -110,12 +98,10 @@ def _build_parser():
     def common(sp):
         sp.add_argument("--out", default="twistlab-out", help="output directory")
         sp.add_argument("--seed", type=int, default=0, help="base seed for stochastic commands")
-        sp.add_argument("--threads", default=None,
-                        help="worker pool size for sweep commands; 'auto' or integer "
-                             "(default: TWISTLAB_THREADS or auto)")
         sp.add_argument("--formats", default="csv,json",
                         help="comma subset of {csv,json}; the JSON envelope is always written")
-        sp.add_argument("--config", default=None, help="flat key=value config file; flags override")
+        sp.add_argument("--config", default=None,
+                        help="flat key=value config file; overrides the preset, flags override it")
         sp.add_argument("--gnuplot", action="store_true",
                         help="also emit a gnuplot script for figure presets")
 
@@ -240,37 +226,39 @@ _PRESET_VALUES = {
 }
 
 
-def parse_config(argv, parser=None):
-    """Parse flags (plus an optional flat config file) into a RunConfig."""
-    parser = parser or _build_parser()
-    ns = parser.parse_args(argv)
-    if getattr(ns, "config", None):
-        file_values = _load_config_file(ns.config)
-        known = set(vars(ns))
-        unknown = [k for k in file_values if k not in known]
-        if unknown:
-            parser.error(f"unknown config keys: {', '.join(sorted(unknown))}")
-        # flags override the file: re-parse with file values as defaults
-        defaults = {}
-        for key, val in file_values.items():
-            cur = getattr(ns, key)
-            if isinstance(cur, bool):
-                defaults[key] = val.lower() in ("1", "true", "yes", "on")
-            elif isinstance(cur, int) and not isinstance(cur, bool):
-                defaults[key] = int(val)
-            elif isinstance(cur, float):
-                defaults[key] = float(val)
-            else:
-                defaults[key] = val
-        parser.set_defaults(**defaults)
-        ns = parser.parse_args(argv)
+def parse_config(argv):
+    """Parse flags into a RunConfig.
 
-    preset = getattr(ns, "preset", None)
-    if preset:
-        explicit = _explicit_flags(argv)
-        for key, val in _PRESET_VALUES[preset].items():
-            if key not in explicit:
-                setattr(ns, key, val)
+    Values come in layers: built-in defaults < preset < config file < flags.
+    The preset's values and the file's become the chosen subcommand's
+    defaults in a parser built for this call, and the command line is parsed
+    again over them, so argparse applies each option's type to file values
+    and resolves flags, abbreviated ones included.
+    """
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
+    file_values = {}
+    if ns.config:
+        try:
+            file_values = _load_config_file(ns.config)
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
+        unknown = sorted(set(file_values) - (set(vars(ns)) - {"command"}))
+        if unknown:
+            parser.error(f"unknown config keys: {', '.join(unknown)}")
+        for key, val in file_values.items():
+            if isinstance(getattr(ns, key), bool):  # store_true flags take no type
+                file_values[key] = val.lower() in ("1", "true", "yes", "on")
+    preset = getattr(ns, "preset", None) or file_values.get("preset")
+    if preset or file_values:
+        sub = next(a.choices for a in parser._actions if a.dest == "command")[ns.command]
+        sub.set_defaults(**{**_PRESET_VALUES.get(preset, {}), **file_values})
+        ns = parser.parse_args(argv)
+        for action in sub._actions:  # argparse checks choices on flags, not on defaults
+            value = getattr(ns, action.dest, None)
+            if action.dest in file_values and action.choices and value not in action.choices:
+                parser.error(f"config {action.dest} = {value!r}: expected one of "
+                             f"{', '.join(map(str, action.choices))}")
 
     formats = tuple(s.strip() for s in ns.formats.split(",") if s.strip())
     bad = [f for f in formats if f not in ("csv", "json")]
@@ -278,33 +266,17 @@ def parse_config(argv, parser=None):
         parser.error(f"unknown report formats: {', '.join(bad)}")
 
     params = {k: v for k, v in vars(ns).items()
-              if k not in ("out", "seed", "threads", "formats", "config", "gnuplot", "command")}
+              if k not in ("out", "seed", "formats", "config", "gnuplot", "command")}
     config = RunConfig(
         command=ns.command,
         parameters=params,
         output_dir=Path(ns.out),
         seed=ns.seed,
-        threads=_resolve_threads(ns.threads),
         formats=formats,
         gnuplot=ns.gnuplot,
     )
     _validate(config, parser)
     return config
-
-
-def _explicit_flags(argv):
-    """Long-option names explicitly present on the command line (dest form)."""
-    out = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            out.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    if "lambda" in out:
-        out.add("lam")
-    if "from" in out:
-        out.add("lo")
-    if "to" in out:
-        out.add("hi")
-    return out
 
 
 def _validate(config, parser):
@@ -344,10 +316,6 @@ def _validate(config, parser):
 
 # ---------------------------------------------------------------------------
 # command implementations
-
-
-def _provenance_add(prov, quantity, anchor):
-    prov.append([quantity, anchor])
 
 
 def _run_kernel(cfg):
@@ -411,8 +379,8 @@ def _run_spectrum(cfg):
         r0r = spectrum.threshold(q, spectrum.REPULSIVE_R0)
         results = {"q": q, "r0_attractive": r0a, "r0_repulsive": r0r,
                    "n_r": len(r_values), "k_max": 30}
-        _provenance_add(prov, "r0_attractive", "fig2")
-        _provenance_add(prov, "r0_repulsive", "fig2")
+        prov.append(["r0_attractive", "fig2"])
+        prov.append(["r0_repulsive", "fig2"])
         csvs = {"fig2": ("r,k,c1", rows)}
         return results, csvs, prov
 
@@ -442,13 +410,10 @@ def _run_thresholds(cfg):
                                       ring.ATTRACTIVE if kind == "attractive" else ring.REPULSIVE)
         label = f"{kind}_finite_M{p['M']}"
     else:
-        kind_map = {"attractive": spectrum.ATTRACTIVE_R0,
-                    "repulsive": spectrum.REPULSIVE_R0,
-                    "r-star": spectrum.R_STAR}
-        value = spectrum.threshold(p["q"], kind_map[kind])
+        value = spectrum.threshold(p["q"], _THRESHOLD_KINDS[kind])
         label = kind
     if p["q"] == 5 and kind in ("attractive", "repulsive"):
-        _provenance_add(prov, "r0", "fig2" if not p.get("M") else "fig6")
+        prov.append(["r0", "fig2" if not p.get("M") else "fig6"])
     results = {"q": p["q"], "kind": label, "r0": value}
     csvs = {"thresholds": ("q,kind,r0", [[str(p["q"]), label, _fmt(value)]])}
     return results, csvs, prov
@@ -461,14 +426,11 @@ def _curve_from_gamma_args(p):
         if r0 is None:
             raise ValueError("t-family requires an explicit --r0")
         return bifurcation.t_family_curve(q, r0, p.get("t", 0.0))
-    if p.get("at") == "attractive-threshold":
-        r0 = spectrum.threshold(q, spectrum.ATTRACTIVE_R0)
-        ell = p.get("ell") or 1
-    elif p.get("at") == "repulsive-threshold":
-        r0 = spectrum.threshold(q, spectrum.REPULSIVE_R0)
-        ell = p.get("ell")
-        if ell is None:
-            ell = spectrum.repulsive_critical_mode(q, r0)
+    if p.get("at"):
+        kind = _THRESHOLD_KINDS[p["at"].removesuffix("-threshold")]
+        r0, ell = spectrum.threshold_crossing(q, kind)
+        if p.get("ell") is not None:
+            ell = p["ell"]
     else:
         r0, ell = p["r0"], p.get("ell")
         if ell is None:
@@ -477,11 +439,13 @@ def _curve_from_gamma_args(p):
             if len(near) == 0:
                 raise ValueError("no near-zero eigenvalue at the given base; pass --ell")
             if len(near) > 1:
-                raise ValueError(f"multiple near-zero modes {list(near)}; pass --ell")
+                shown = ", ".join(str(int(k)) for k in near[:5])
+                more = ", ..." if len(near) > 5 else ""
+                raise ValueError(f"{len(near)} near-zero modes ({shown}{more}); pass --ell")
             ell = int(near[0])
     base = Params(r0, p["lam"], p["mu"])
     if p["family"] == "r-linear":
-        direction = (1.0, 0.0, 0.0)
+        direction = _R_LINEAR
     elif p["family"] == "lambda-linear":
         direction = (0.0, 1.0, 0.0)
     else:
@@ -489,18 +453,6 @@ def _curve_from_gamma_args(p):
             raise ValueError("--family mixed requires --direction dr,dlam,dmu")
         direction = tuple(float(s) for s in p["direction"].split(","))
     return bifurcation.linear_curve(q, ell, base, direction)
-
-
-def _gamma_ratio_row(q, kind):
-    if kind == "attractive":
-        r0 = spectrum.threshold(q, spectrum.ATTRACTIVE_R0)
-        ell = 1
-    else:
-        r0 = spectrum.threshold(q, spectrum.REPULSIVE_R0)
-        ell = spectrum.repulsive_critical_mode(q, r0)
-    report = bifurcation.gamma_pair(bifurcation.linear_curve(q, ell, Params(r0), (1.0, 0.0, 0.0)))
-    ratio = report.gamma2 / (report.gamma1 * q)
-    return [str(q), str(ell), _fmt(r0), _fmt(report.gamma1), _fmt(report.gamma2), _fmt(ratio)]
 
 
 def _run_gamma(cfg):
@@ -511,10 +463,13 @@ def _run_gamma(cfg):
         kind = "repulsive" if preset == "fig3b" else "attractive"
         q_max = p.get("q_max") or (30 if kind == "repulsive" else 50)
         qs = list(range(2, q_max + 1))
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(lambda q: _gamma_ratio_row(q, kind), qs))
+        rows = []
+        for q in qs:
+            curve, report = _threshold_report(q, _THRESHOLD_KINDS[kind])
+            rows.append([str(q), str(curve.ell), _fmt(curve.base.r), _fmt(report.gamma1),
+                         _fmt(report.gamma2), _fmt(report.gamma2 / (report.gamma1 * q))])
         name = preset or f"gamma-ratio-{kind}"
-        _provenance_add(prov, "gamma2/(gamma1*q)", preset or "fig3a")
+        prov.append(["gamma2/(gamma1*q)", preset or "fig3a"])
         results = {"kind": kind, "q_values": qs,
                    "ratio_last": float(rows[-1][5])}
         return results, {name: ("q,ell,r0,gamma1,gamma2,ratio", rows)}, prov
@@ -542,38 +497,31 @@ def _run_gamma(cfg):
         results["s0"], results["a_app"] = p["s0"], amp
         rows.append(["a_app", _fmt(amp)])
     if p.get("at") == "attractive-threshold":
-        _provenance_add(prov, "gamma1", "fig5" if p["q"] == 5 else "fig3a")
-        _provenance_add(prov, "gamma2", "fig5" if p["q"] == 5 else "fig3a")
+        prov.append(["gamma1", "fig5" if p["q"] == 5 else "fig3a"])
+        prov.append(["gamma2", "fig5" if p["q"] == 5 else "fig3a"])
         if p.get("s0") is not None and p["q"] == 5:
-            _provenance_add(prov, "a_app", "fig5")
+            prov.append(["a_app", "fig5"])
     if p.get("at") == "repulsive-threshold" and p["q"] == 5:
-        _provenance_add(prov, "gamma1", "fig6")
-        _provenance_add(prov, "gamma2", "fig6")
+        prov.append(["gamma1", "fig6"])
+        prov.append(["gamma2", "fig6"])
         if p.get("s0") is not None:
-            _provenance_add(prov, "a_app", "fig6")
+            prov.append(["a_app", "fig6"])
     return results, {"gamma": ("quantity,value", rows)}, prov
 
 
-def _branch_setup(q, s0, M):
-    r0 = spectrum.threshold(q, spectrum.ATTRACTIVE_R0)
-    curve = bifurcation.linear_curve(q, 1, Params(r0), (1.0, 0.0, 0.0))
-    report = bifurcation.gamma_pair(curve)
-    amp = bifurcation.a_app(report, s0)
-    r_m = ring.finite_threshold(q, M, ring.ATTRACTIVE)
-    return r0, curve, report, amp, r_m
+def _threshold_report(q, kind):
+    """r-linear curve through the threshold crossing of ``kind``, and its pitchfork report."""
+    r0, ell = spectrum.threshold_crossing(q, kind)
+    curve = bifurcation.linear_curve(q, ell, Params(r0), _R_LINEAR)
+    return curve, bifurcation.gamma_pair(curve)
 
 
-def _branch_errors(curve, report, s0, M, r_m):
-    q = curve.q
-    amp = bifurcation.a_app(report, s0)
-    z1 = bifurcation.branch_profile(curve, amp, 1, M)
-    z2 = bifurcation.branch_profile(curve, amp, 2, M)
-    weights = ring.build_weights(M, r_m + s0)
-    spec = ring.SystemSpec(Params(r_m + s0))
-    eq = ring.newton_equilibrium(z1.values.copy(), spec, weights)
-    err1 = float(np.max(np.abs(eq.theta - z1.values)))
-    err2 = float(np.max(np.abs(eq.theta - z2.values)))
-    return z1, z2, eq, err1, err2
+def _branch_errors(curve, amp, r, M):
+    """Newton equilibrium at r from the order-1 profile, and its distances to both orders."""
+    z1 = bifurcation.branch_profile(curve, amp, 1, M).values
+    z2 = bifurcation.branch_profile(curve, amp, 2, M).values
+    eq = ring.newton_equilibrium(z1, ring.SystemSpec(Params(r)), ring.build_weights(M, r))
+    return eq, float(np.max(np.abs(eq.theta - z1))), float(np.max(np.abs(eq.theta - z2)))
 
 
 def _run_branch(cfg):
@@ -581,15 +529,17 @@ def _run_branch(cfg):
     q, s0, M = p["q"], p["s0"], p["M"]
     grid = p.get("grid_size") or M
     prov = []
-    r0, curve, report, amp, r_m = _branch_setup(q, s0, M)
+    curve, report = _threshold_report(q, spectrum.ATTRACTIVE_R0)
+    amp = bifurcation.a_app(report, s0)
+    r_m = ring.finite_threshold(q, M, ring.ATTRACTIVE)
     results = {
-        "q": q, "s0": s0, "M": M, "r0": r0, "r0_finite": r_m,
+        "q": q, "s0": s0, "M": M, "r0": curve.base.r, "r0_finite": r_m,
         "ell": report.ell, "gamma1": report.gamma1, "gamma2": report.gamma2,
         "a_app": amp, "criticality": report.criticality,
     }
     if q == 5 and abs(s0 + 1e-4) < 1e-12 and M == 1000:
         for name in ("gamma1", "gamma2", "a_app"):
-            _provenance_add(prov, name, "fig5")
+            prov.append([name, "fig5"])
 
     z1g = bifurcation.branch_profile(curve, amp, 1, grid)
     z2g = bifurcation.branch_profile(curve, amp, 2, grid)
@@ -598,26 +548,22 @@ def _run_branch(cfg):
                     for x, a, b, c in zip(z1g.x, psi, z1g.values, z2g.values)]
     csvs = {"branch": ("x,psi_q,z1,z2", profile_rows)}
 
-    _, _, eq, err1, err2 = _branch_errors(curve, report, s0, M, r_m)
+    eq, err1, err2 = _branch_errors(curve, amp, r_m + s0, M)
     results.update({
         "newton_residual": eq.residual_norm,
         "newton_iterations": eq.iterations,
         "err_z1": err1, "err_z2": err2,
         "z2_coefficient": z2g.z2_coefficient,
     })
-    x_lattice = np.arange(M) / M
-    csvs["equilibrium"] = ("index,x,theta",
-                           [[str(i), _fmt(x_lattice[i]), _fmt(v)] for i, v in enumerate(eq.theta)])
+    csvs["equilibrium"] = _state_csv(eq.theta)
 
     if p.get("error_scaling"):
         s_values = [-1e-5, -3e-5, -1e-4, -3e-4, -1e-3]
-
-        def one(s):
-            _, _, _, e1, e2 = _branch_errors(curve, report, s, M, r_m)
-            return [s, bifurcation.a_app(report, s), e1, e2]
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            err_rows = list(pool.map(one, s_values))
+        err_rows = []
+        for s in s_values:
+            amp_s = bifurcation.a_app(report, s)
+            _, err1_s, err2_s = _branch_errors(curve, amp_s, r_m + s, M)
+            err_rows.append([s, amp_s, err1_s, err2_s])
         logs = np.log(np.abs(np.array(s_values)))
         slope1 = float(np.polyfit(logs, np.log([r[2] for r in err_rows]), 1)[0])
         slope2 = float(np.polyfit(logs, np.log([r[3] for r in err_rows]), 1)[0])
@@ -625,6 +571,12 @@ def _run_branch(cfg):
         csvs["error-scaling"] = ("s,a_app,err_z1,err_z2",
                                  [[_fmt(v) for v in row] for row in err_rows])
     return results, csvs, prov
+
+
+def _state_csv(theta):
+    """A ring state as (header, rows) of ``index,x,theta``."""
+    M = len(theta)
+    return "index,x,theta", [[str(i), _fmt(i / M), _fmt(v)] for i, v in enumerate(theta)]
 
 
 def _mode_amplitudes(theta, q):
@@ -655,7 +607,6 @@ def _run_simulate(cfg):
     runs = []
     finals = []
     csvs = {}
-    x_lattice = np.arange(M) / M
     n_samples = p.get("samples") or 0
     for i in range(p["n_runs"]):
         seed = cfg.seed + i
@@ -670,15 +621,11 @@ def _run_simulate(cfg):
             "dominant_mode": dominant, "dominant_amplitude": float(amps[dominant]),
             "max_deviation": float(np.max(np.abs(diff))),
         })
-        csvs[f"state_run{i}"] = (
-            "index,x,theta",
-            [[str(j), _fmt(x_lattice[j]), _fmt(v)] for j, v in enumerate(out.theta)],
-        )
+        csvs[f"state_run{i}"] = _state_csv(out.theta)
         if out.samples:
             rows = []
             for t, state in out.samples:
-                rows.extend([[_fmt(t), str(j), _fmt(x_lattice[j]), _fmt(v)]
-                             for j, v in enumerate(state)])
+                rows.extend([_fmt(t)] + row for row in _state_csv(state)[1])
             csvs[f"trajectory_run{i}"] = ("t,index,x,theta", rows)
     shift_relations = []
     for i in range(len(finals)):
@@ -695,8 +642,8 @@ def _run_simulate(cfg):
         "shift_relations": shift_relations,
     }
     if p.get("preset") == "fig6":
-        _provenance_add(prov, "dominant_amplitude", "fig6")
-        _provenance_add(prov, "r0_finite", "fig6")
+        prov.append(["dominant_amplitude", "fig6"])
+        prov.append(["r0_finite", "fig6"])
     return results, csvs, prov
 
 
@@ -713,59 +660,35 @@ def _run_equilibrium(cfg):
     if p["init"] == "twisted":
         theta0 = ring.twisted_state(M, q)
     else:
-        r0 = spectrum.threshold(q, spectrum.ATTRACTIVE_R0)
-        curve = bifurcation.linear_curve(q, 1, Params(r0), (1.0, 0.0, 0.0))
-        report = bifurcation.gamma_pair(curve)
-        amp = bifurcation.a_app(report, p["s0"])
-        theta0 = bifurcation.branch_profile(curve, amp, 1, M).values.copy()
+        curve, report = _threshold_report(q, spectrum.ATTRACTIVE_R0)
+        theta0 = bifurcation.branch_profile(curve, bifurcation.a_app(report, p["s0"]), 1, M).values
     eq = ring.newton_equilibrium(theta0, spec, weights,
                                  max_iter=p["max_iter"], tol=p["tol"])
-    x_lattice = np.arange(M) / M
     results = {
         "M": M, "q": q, "r": r, "sign": p["sign"],
         "residual_norm": eq.residual_norm, "iterations": eq.iterations,
         "leading_eigenvalues": [float(v) for v in eq.jacobian_leading_eigs],
     }
-    csvs = {"equilibrium": ("index,x,theta",
-                            [[str(i), _fmt(x_lattice[i]), _fmt(v)]
-                             for i, v in enumerate(eq.theta)])}
-    return results, csvs, []
+    return results, {"equilibrium": _state_csv(eq.theta)}, []
 
 
 def _run_stability_map(cfg):
     p = cfg.parameters
-    q = p["q"]
     r_lo, r_hi, n_r = _parse_range(p["r"])
     l_lo, l_hi, n_l = _parse_range(p["lam"])
-    prov = []
-    # columns are independent; compute in parallel, merge in input order
-    r_values = np.linspace(r_lo, r_hi, n_r)
-    lambda_values = np.linspace(l_lo, l_hi, n_l)
-
-    def column(i):
-        return bifurcation.stability_column(q, float(r_values[i]), lambda_values,
-                                            tol=p["tol"])
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        cols = list(pool.map(column, range(n_r)))
-
-    grid_rows, boundary_rows, flags = [], [], []
-    for i, (col, point, flag) in enumerate(cols):
-        for j, lam in enumerate(lambda_values):
-            grid_rows.append([_fmt(r_values[i]), _fmt(lam), _fmt(col[j])])
-        if point is not None:
-            boundary_rows.append([_fmt(r_values[i]), _fmt(point.lam), str(point.ell),
-                                  point.criticality, _fmt(point.gamma1), _fmt(point.gamma2)])
-        if flag is not None:
-            flags.append([_fmt(r_values[i]), flag[1]])
-    results = {"q": q, "n_r": n_r, "n_lambda": n_l,
-               "boundary_points": len(boundary_rows), "flagged_columns": len(flags)}
-    if p.get("preset") == "fig4":
-        _provenance_add(prov, "boundary", "fig4")
+    smap = bifurcation.stability_map(p["q"], (r_lo, r_hi), (l_lo, l_hi), (n_r, n_l), tol=p["tol"])
+    grid_rows = [[_fmt(r), _fmt(lam), _fmt(v)]
+                 for r, row in zip(smap.r_values, smap.max_eigenvalue)
+                 for lam, v in zip(smap.lambda_values, row)]
+    boundary_rows = [[_fmt(b.r), _fmt(b.lam), str(b.ell), b.criticality, _fmt(b.gamma1),
+                      _fmt(b.gamma2)] for b in smap.boundary]
+    results = {"q": smap.q, "n_r": n_r, "n_lambda": n_l,
+               "boundary_points": len(boundary_rows), "flagged_columns": len(smap.flags)}
+    prov = [["boundary", "fig4"]] if p.get("preset") == "fig4" else []
     csvs = {"grid": ("r,lambda,max_eigenvalue", grid_rows),
             "boundary": ("r,lambda0,ell,criticality,gamma1,gamma2", boundary_rows)}
-    if flags:
-        csvs["flags"] = ("r,reason", flags)
+    if smap.flags:
+        csvs["flags"] = ("r,reason", [[_fmt(r), reason] for r, reason in smap.flags])
     return results, csvs, prov
 
 
@@ -782,7 +705,7 @@ def _run_iota(cfg):
                "all_positive_above_upsilon0": bool((above > 0).all()) if len(above) else None}
     prov = []
     if p.get("preset") == "fig7":
-        _provenance_add(prov, "iota", "fig7")
+        prov.append(["iota", "fig7"])
     return results, {"iota": ("upsilon,iota", rows)}, prov
 
 
@@ -832,7 +755,6 @@ def _config_echo(cfg):
         "parameters": params,
         "output_dir": str(cfg.output_dir),
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "formats": list(cfg.formats),
     }
 
@@ -869,9 +791,8 @@ def write_report(envelope, output_dir=None):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        config = parse_config(argv, parser)
+        config = parse_config(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

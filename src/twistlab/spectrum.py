@@ -142,6 +142,18 @@ def repulsive_critical_mode(q, r0):
     return certified_extreme(q, Params(r0 + 1e-9), lowest=True)[1]
 
 
+def threshold_crossing(q, kind):
+    """Threshold radius ``r0`` of ``kind`` and the mode ``ell`` whose eigenvalue crosses there.
+
+    Mode 1 crosses at the attractive threshold; at the repulsive one it is
+    :func:`repulsive_critical_mode`.
+    """
+    if kind not in (ATTRACTIVE_R0, REPULSIVE_R0):
+        raise ValueError(f"no crossing mode for threshold kind {kind!r}")
+    r0 = threshold(q, kind)
+    return r0, 1 if kind == ATTRACTIVE_R0 else repulsive_critical_mode(q, r0)
+
+
 def near_zero_modes(q, p, crossing_tol):
     """Modes ``k`` with ``|c1(q, k, p)| < crossing_tol``, ascending, over all modes.
 

@@ -269,6 +269,16 @@ def test_stability_map_flags_degenerate_columns():
     assert len(smap.boundary) == 0
 
 
+def test_stability_map_validates_grid_and_range_either_way_round():
+    for r_range, grid in [((0.3, 0.4), (1, 3)), ((0.3, 0.4), (0, 3)), ((0.3, 0.4), (3, 1)),
+                          ((0.3, 0.7), (5, 3)), ((0.7, 0.3), (5, 3)), ((0.2, 0.0), (5, 3))]:
+        with pytest.raises(ValueError, match="grid must be|r_range must"):
+            stability_map(8, r_range, (0.0, 6.0), grid)
+    descending = stability_map(8, (0.4, 0.3), (0.0, 6.0), (3, 3), tol=1e-3)
+    ascending = stability_map(8, (0.3, 0.4), (0.0, 6.0), (3, 3), tol=1e-3)
+    assert np.array_equal(descending.max_eigenvalue, ascending.max_eigenvalue[::-1])
+
+
 def test_stability_column_equals_full_list_values():
     # float.hex of the sup row on the full mode_cutoff(8, 1e-4) list, before the
     # truncation bound decided when a list is long enough; r = 0.16 has a boundary

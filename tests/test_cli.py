@@ -137,29 +137,23 @@ def test_branch_csv_header(tmp_path):
     assert eq_lines[0] == "index,x,theta"
 
 
-def test_threads_invariance_and_determinism(tmp_path):
+def test_stability_map_rerun_is_byte_identical(tmp_path):
     args = ["stability-map", "--q", "8", "--r", "0.2:0.4:6", "--lambda", "0:6:9",
             "--tol", "1e-3"]
-    _, out1 = run(args + ["--threads", "1"], tmp_path, "t1")
-    _, out4 = run(args + ["--threads", "4"], tmp_path, "t4")
-    assert (out1 / "grid.csv").read_bytes() == (out4 / "grid.csv").read_bytes()
-    assert (out1 / "boundary.csv").read_bytes() == (out4 / "boundary.csv").read_bytes()
-    r1 = json.loads((out1 / "stability-map.json").read_text())["results"]
-    r4 = json.loads((out4 / "stability-map.json").read_text())["results"]
-    assert r1 == r4
-    # identical config (including out dir): byte-identical envelope
-    before = (out1 / "stability-map.json").read_bytes()
-    main(args + ["--threads", "1", "--out", str(out1)])
-    assert (out1 / "stability-map.json").read_bytes() == before
+    _, out = run(args, tmp_path, "t1")
+    before = {name: (out / name).read_bytes()
+              for name in ("grid.csv", "boundary.csv", "stability-map.json")}
+    # identical config (including out dir): byte-identical files
+    assert main(args + ["--out", str(out)]) == 0
+    assert {name: (out / name).read_bytes() for name in before} == before
 
 
-def test_threads_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("TWISTLAB_THREADS", "3")
-    cfg = parse_config(["iota", "--out", str(tmp_path / "x")])
-    assert cfg.threads == 3
-    monkeypatch.delenv("TWISTLAB_THREADS")
-    cfg2 = parse_config(["iota", "--threads", "2", "--out", str(tmp_path / "x")])
-    assert cfg2.threads == 2
+def test_stability_map_range_errors_are_usage_errors(tmp_path):
+    for r_range in ("0.3:0.4:1", "0.3:0.4:0", "0.3:0.7:5", "0.3:0.4"):
+        code = main(["stability-map", "--r", r_range, "--lambda", "0:6:3",
+                     "--out", str(tmp_path / "m")])
+        assert code == 2, r_range
+    assert not (tmp_path / "m").exists()
 
 
 def test_config_file_merge_and_unknown_keys(tmp_path):
@@ -171,10 +165,45 @@ def test_config_file_merge_and_unknown_keys(tmp_path):
     # explicit flag overrides the file value
     assert json.loads((out / "thresholds.json").read_text())["results"]["q"] == 7
 
+    # file values reach the subcommand, typed as their options
+    spec = tmp_path / "spec.conf"
+    spec.write_text("tol = 0.001\nkmax = 5\n")
+    code, out = run(["spectrum", "--q", "5", "--r", "0.2", "--config", str(spec)],
+                    tmp_path, "spec")
+    assert code == 0
+    params = json.loads((out / "spectrum.json").read_text())["config"]["parameters"]
+    assert params["tol"] == 0.001
+    assert len((out / "spectrum.csv").read_text().splitlines()) == 6
+
+    # built-in defaults < preset < config file < explicit flags
+    layered = tmp_path / "layered.conf"
+    layered.write_text("steps = 7\nhi = 2.0\ngnuplot = true\n")
+    cfg = parse_config(["iota", "--preset", "fig7", "--config", str(layered),
+                        "--to", "1.5", "--out", str(tmp_path / "x")])
+    assert cfg.parameters == {"lo": 0.05, "hi": 1.5, "steps": 7, "preset": "fig7"}
+    assert cfg.gnuplot is True
+    cfg = parse_config(["iota", "--config", str(layered), "--out", str(tmp_path / "x")])
+    assert cfg.parameters == {"lo": 0.3, "hi": 2.0, "steps": 7, "preset": None}
+    preset_file = tmp_path / "preset.conf"
+    preset_file.write_text("preset = fig7\nsteps = 9\n")
+    cfg = parse_config(["iota", "--config", str(preset_file), "--out", str(tmp_path / "x")])
+    assert cfg.parameters == {"lo": 0.05, "hi": 3.0, "steps": 9, "preset": "fig7"}
+
     bad = tmp_path / "bad.conf"
     bad.write_text("nonsense = 1\n")
     assert main(["thresholds", "--config", str(bad), "--q", "5",
                  "--kind", "attractive", "--out", str(tmp_path / "z")]) == 2
+    bad.write_text("preset = fig9\n")
+    assert main(["iota", "--config", str(bad), "--out", str(tmp_path / "z")]) == 2
+    bad.write_text("init = bogus\n")  # checked against the option's choices
+    assert main(["equilibrium", "--M", "120", "--config", str(bad),
+                 "--out", str(tmp_path / "z")]) == 2
+    assert not (tmp_path / "z").exists()
+
+    # an abbreviated flag is explicit too
+    code, out = run(["gamma", "--preset", "fig3b", "--q-ma", "3"], tmp_path, "ab")
+    assert code == 0
+    assert len((out / "fig3b.csv").read_text().splitlines()) == 3  # header, q = 2 and 3
 
 
 def test_simulate_small_ring(tmp_path):
@@ -255,10 +284,12 @@ def test_gamma_ratio_sweep_preset_override(tmp_path):
     assert float(last[5]) == pytest.approx(1.77, rel=5e-2)
 
 
-def test_gamma_explicit_base_detects_crossing_mode(tmp_path):
+def test_gamma_explicit_base_detects_crossing_mode(tmp_path, capsys):
     # the attractive q = 5 threshold, written out: mode 1 crosses there
     code, out = run(["gamma", "--q", "5", "--r0", "0.06632201078639745"], tmp_path, "g")
     assert code == 0
     assert json.loads((out / "gamma.json").read_text())["results"]["ell"] == 1
+    capsys.readouterr()
     code, _ = run(["gamma", "--q", "5", "--r0", "0.3"], tmp_path, "g2")
     assert code == 2  # q r = 3/2: every fifth mode is near zero
+    assert len(capsys.readouterr().err.encode()) < 1000

@@ -1,0 +1,76 @@
+"""Golden outputs of the closed-form commands.
+
+Each entry holds the SHA-256 of every CSV file a command writes and of its
+canonical JSON ``results`` and ``provenance`` (key-sorted, compact). These
+commands use closed forms and deterministic root finding only, so a change
+that leaves the numerics alone leaves every byte of them alone. The bytes
+were recorded on x86-64 Linux with NumPy 2.4.6; another platform's math
+library may move last digits.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from twistlab.cli import main
+
+GOLDEN = {
+    "spectrum --preset fig2": {
+        "fig2.csv": "1a66ece9561b982c5f74351a059002366316646ef2b7121f623395f5052d3a99",
+        "results": "ffa0237d3cd469e9319cf43c105a638a1c1dc318e45679455faca7f51dc45e14",
+    },
+    "gamma --preset fig3a": {
+        "fig3a.csv": "3e6dbfbdcd4a7781eb9a9a3c4f90a9d867a69277e96598fcddb1cec29442265c",
+        "results": "0e15149360459404c0ae3b5e9c23ff2ace86adff6458002eac1b7b466e02d1e4",
+    },
+    "gamma --preset fig3b --q-max 6": {
+        "fig3b.csv": "46d68c0f7f0a2b5927a3e0a983745ed0f7244914b2363558cdd5300867513388",
+        "results": "31326c81c2ad7f5669dbfce91f2851138d066e5002edb4607e2876d2d9869618",
+    },
+    "stability-map --preset fig4": {
+        "boundary.csv": "5e91d2e1ec547da26488b06fa9d97e26588bb33058cb04392f4e9576536ff236",
+        "flags.csv": "9626555d3814eefb2a0ddf3a5f1390b4ba92981b56d09ea5920a1d497905ae01",
+        "grid.csv": "5da65cce03e11b5010de90f4d9ac91de35fba10012c98b42224316a04ad80a07",
+        "results": "7c6fd382710372f5438b3f0b540e1bb31297e071be8a7d7186206f14558e9305",
+    },
+    "iota --preset fig7": {
+        "iota.csv": "b87de87c9791ac222339ab8d175ba2fc57f68e710097d45bcdad28d56930fae8",
+        "results": "0298ae86861effec4651404eee288b77d401a5ddb2165388552a5460b52bc3ea",
+    },
+    "thresholds --q 5 --kind attractive": {
+        "thresholds.csv": "2a1e07e9b69ddcb0a5b34a7d5419efde700085d18205844dd1d1d90b3b646ad2",
+        "results": "6bbd8ca87fd1aabfc41a3a6c33d54c732105291e4fb4e4495000064d680ea2be",
+    },
+    "thresholds --q 5 --kind repulsive": {
+        "thresholds.csv": "e3bc6f805bcd3d3bb052388bef7ed9eb8113922bc32e3c119957dc31f0405dd5",
+        "results": "7f7e4af1d24692bf8b08cbf84bc2f667f5ffbcf84c11f4cfb5e45e169d09a46f",
+    },
+    "thresholds --q 5 --kind r-star": {
+        "thresholds.csv": "23bf11ba2ee3007880bac47aa074c2754ffd27ba9a09c74c754bd68d7f4acf3b",
+        "results": "cdf270f0a58060bbda899e0f82ea6ff7ab9057fe1b70100a5a108a11d2a5f066",
+    },
+    "gamma --q 5 --at repulsive-threshold --s0=-1e-5": {
+        "gamma.csv": "1cca5bd3c3d7b5a93a3548a03e8a3e55ac9f558ffc78b90f0a6148fe2a31bc0f",
+        "results": "804709969be29572cfeced2c8659bb7ce75dd0426f881bf184248269180e18ee",
+    },
+    "gamma --q 2 --family t-family --r0 0.3 --t=-0.2": {
+        "gamma.csv": "959db8e390164fc307e17ec24e936c6035172f98a2af8f11ad5e3acf60875dd3",
+        "results": "2e39ef921e8d3c1578bc0e88dc23fb9dc74ee286c8b43bcc2ef73360f5db159a",
+    },
+}
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_closed_form_outputs_match_golden_hashes(command, tmp_path):
+    out = tmp_path / "out"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    payload = json.loads(next(out.glob("*.json")).read_text())
+    got = {path.name: _sha256(path.read_bytes()) for path in sorted(out.glob("*.csv"))}
+    canonical = {"results": payload["results"], "provenance": payload["provenance"]}
+    got["results"] = _sha256(json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode())
+    assert got == GOLDEN[command]

@@ -315,6 +315,15 @@ def test_repulsive_critical_mode_equals_full_list_argmin():
     assert int(rep.ks[np.argmin(rep.values)]) == 11
 
 
+def test_threshold_crossing_pairs_radius_and_mode():
+    assert spectrum.threshold_crossing(5, spectrum.ATTRACTIVE_R0) == (
+        threshold(5, spectrum.ATTRACTIVE_R0), 1)
+    assert spectrum.threshold_crossing(5, spectrum.REPULSIVE_R0) == (
+        threshold(5, spectrum.REPULSIVE_R0), 11)
+    with pytest.raises(ValueError):
+        spectrum.threshold_crossing(5, spectrum.R_STAR)
+
+
 def test_near_zero_modes_equal_full_list():
     # q r = 3/2 puts the tail at zero, so near-zero modes recur along the whole
     # list and the test runs to the ceiling
