@@ -406,8 +406,10 @@ def _run_thresholds(cfg):
     kind = p["kind"]
     prov = []
     if p.get("M"):
-        value = ring.finite_threshold(p["q"], p["M"],
-                                      ring.ATTRACTIVE if kind == "attractive" else ring.REPULSIVE)
+        if kind not in (ring.ATTRACTIVE, ring.REPULSIVE):
+            raise ValueError(f"--M takes --kind attractive or repulsive; "
+                             f"there is no finite-ring {kind}")
+        value = ring.finite_threshold(p["q"], p["M"], kind)
         label = f"{kind}_finite_M{p['M']}"
     else:
         value = spectrum.threshold(p["q"], _THRESHOLD_KINDS[kind])
@@ -617,7 +619,8 @@ def _run_simulate(cfg):
         dominant = int(np.argmax(amps))
         finals.append(out.theta)
         runs.append({
-            "seed": seed, "stop_reason": out.stop_reason, "t_reached": out.t_reached,
+            "seed": seed, "method": out.method, "stop_reason": out.stop_reason,
+            "t_reached": out.t_reached,
             "dominant_mode": dominant, "dominant_amplitude": float(amps[dominant]),
             "max_deviation": float(np.max(np.abs(diff))),
         })

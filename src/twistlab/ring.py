@@ -13,6 +13,11 @@ convolutions by direct summation and serves as the oracle.
 Spectra are exact: :func:`twisted_spectrum` in closed form at a twisted state
 (circulant linearization, any M), dense eigenvalues of the analytic
 :func:`jacobian` at any other state with ``M <= DENSE_CAP``.
+
+Time integration is implicit BDF fed the analytic :func:`jacobian` for
+``M <= DENSE_CAP`` (near a weakly unstable twisted state the system is stiff)
+and an embedded 5(4) Runge-Kutta pair above it; a fixed-step RK4 walk gives
+bitwise-reproducible runs.
 """
 
 import math
@@ -359,30 +364,53 @@ class IntegrationResult:
     t_reached: float
     stop_reason: str                      # "equilibrium" or "t_end"
     samples: Optional[list] = None        # [(t, theta), ...] when requested
+    method: str = ""                      # "bdf", "rk45" or "rk4"
+    steps: int = 0                        # accepted steps
+    nfev: int = 0                         # the method's own field evaluations
+    njev: int = 0                         # Jacobian evaluations (bdf)
+    nlu: int = 0                          # LU factorizations (bdf)
 
 
 def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
-              method="rk45", n_samples=0, rk4_step=None):
+              method=None, n_samples=0, rk4_step=None):
     """Integrate the ring until ``t_end`` or until the state is an equilibrium.
 
-    The adaptive path is an embedded 5(4) Runge-Kutta pair with absolute and
-    relative tolerance ``tol`` and a terminal equilibrium stop at
-    ``sup |rhs| < equilibrium_tol``; the default ``tol`` sits an order below the
-    stop, so the integrator's error on the field does not keep it from firing.
-    ``method="rk4"`` selects a fixed-step classical RK4 walk (step
-    ``rk4_step``) for bitwise-reproducible runs. Entry 0 never drifts: its
-    velocity is identically zero. At each accepted step the equilibrium stop
-    reads the field the solver has just evaluated at that state; only the
-    stop's root finding evaluates the field afresh.
+    The adaptive paths have absolute and relative tolerance ``tol`` and a
+    terminal equilibrium stop at ``sup |rhs| < equilibrium_tol``; the default
+    ``tol`` sits an order below the stop, so the integrator's error on the
+    field does not keep it from firing. ``method=None`` picks ``"bdf"`` for
+    ``M <= DENSE_CAP`` and ``"rk45"`` above it:
+
+    - ``"bdf"``: variable-order implicit BDF fed the analytic :func:`jacobian`
+      (zero row and column 0 in the solver's M x M frame). Near a weakly
+      unstable twisted state the pinned spectrum spans several decades, so
+      explicit steps are bounded by stability rather than accuracy; larger
+      rings raise :class:`ResourceLimitError` before any work.
+    - ``"rk45"``: embedded 5(4) Runge-Kutta pair, any M.
+    - ``"rk4"``: fixed-step classical RK4 walk (step ``rk4_step``) for
+      bitwise-reproducible runs.
+
+    Entry 0 never drifts: its velocity is identically zero. At each accepted
+    step the equilibrium stop reads the field the solver has just evaluated
+    at that state when there is one (rk45); otherwise, and at the stop's root
+    finding, it evaluates the field afresh. The result reports the method
+    taken with its step, field-evaluation, Jacobian and LU counts.
     """
     theta0 = _check_state(theta0, weights)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if method is None:
+        method = "bdf" if weights.M <= DENSE_CAP else "rk45"
+    if method not in ("bdf", "rk45", "rk4"):
+        raise ValueError(f"unknown method {method!r}; expected 'bdf', 'rk45' or 'rk4'")
+    if method == "bdf" and weights.M > DENSE_CAP:
+        raise ResourceLimitError(f"bdf needs the dense Jacobian, M <= {DENSE_CAP}; "
+                                 f"got M={weights.M}")
     f = lambda th: _rhs_fft(th, spec, weights)
 
     if np.max(np.abs(f(theta0))) < equilibrium_tol:
         return IntegrationResult(theta=theta0.copy(), t_reached=0.0,
-                                 stop_reason="equilibrium", samples=None)
+                                 stop_reason="equilibrium", method=method)
 
     sample_ts = np.linspace(0.0, t_end, n_samples) if n_samples else None
 
@@ -392,6 +420,8 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
         t = 0.0
         samples = [] if n_samples else None
         next_sample = 0
+        steps = 0
+        reason = "t_end"
         while t < t_end - 1e-15:
             step = min(h, t_end - t)
             k1 = f(theta)
@@ -401,34 +431,49 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
             theta = theta + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             theta[0] = 0.0
             t += step
+            steps += 1
             if samples is not None:
                 while next_sample < n_samples and sample_ts[next_sample] <= t:
                     samples.append((float(sample_ts[next_sample]), theta.copy()))
                     next_sample += 1
             if np.max(np.abs(f(theta))) < equilibrium_tol:
-                return IntegrationResult(theta=theta, t_reached=t,
-                                         stop_reason="equilibrium", samples=samples)
-        return IntegrationResult(theta=theta, t_reached=t, stop_reason="t_end",
-                                 samples=samples)
+                reason = "equilibrium"
+                break
+        return IntegrationResult(theta=theta, t_reached=t, stop_reason=reason,
+                                 samples=samples, method=method, steps=steps,
+                                 nfev=4 * steps)
 
-    if method != "rk45":
-        raise ValueError(f"unknown method {method!r}; expected 'rk45' or 'rk4'")
-
-    last = [None, None]  # the solver's latest (state, field)
+    last = [None, None]    # the solver's latest (state, field)
+    accepted = [0, 0.0]    # accepted steps, latest accepted time
 
     def field(t, y):
         last[:] = y.copy(), f(y)
         return last[1]
 
     def event(t, y):
-        # an accepted step ends where the solver last evaluated the field
+        # the stop is evaluated once per accepted step, each past the last one;
+        # its root finding stays inside steps already taken
+        if t > accepted[1]:
+            accepted[:] = accepted[0] + 1, t
+        # an rk45 step ends where the solver last evaluated the field
         fy = last[1] if np.array_equal(y, last[0]) else f(y)
         return float(np.max(np.abs(fy)) - equilibrium_tol)
 
     event.terminal = True
     event.direction = -1
-    sol = solve_ivp(field, (0.0, t_end), theta0, method="RK45",
-                    rtol=tol, atol=tol, events=event, t_eval=sample_ts)
+    options = {}
+    if method == "bdf":
+        M = weights.M
+
+        def jac(t, y):
+            # entry 0 has zero velocity and stays exactly 0: row and column 0 vanish
+            J = np.zeros((M, M))
+            J[1:, 1:] = jacobian(y, spec, weights)
+            return J
+
+        options["jac"] = jac
+    sol = solve_ivp(field, (0.0, t_end), theta0, method=method.upper(),
+                    rtol=tol, atol=tol, events=event, t_eval=sample_ts, **options)
     if sol.status == -1:
         raise StiffnessError(f"integration step failed: {sol.message}",
                              t_reached=float(sol.t[-1]) if len(sol.t) else 0.0)
@@ -444,7 +489,8 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
     if n_samples:
         samples = [(float(t), _repin(sol.y[:, i])) for i, t in enumerate(sol.t)]
     return IntegrationResult(theta=theta, t_reached=t_reached, stop_reason=reason,
-                             samples=samples)
+                             samples=samples, method=method, steps=accepted[0],
+                             nfev=int(sol.nfev), njev=int(sol.njev), nlu=int(sol.nlu))
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,15 @@ def test_thresholds_r_star(tmp_path):
     assert 0.0 < res["r0"] < 0.5
 
 
+def test_thresholds_finite_r_star_is_a_usage_error(tmp_path, capsys):
+    # r-star has no finite-ring counterpart; it used to write the repulsive
+    # finite threshold under an r-star label
+    assert main(["thresholds", "--q", "5", "--kind", "r-star", "--M", "200",
+                 "--out", str(tmp_path / "rsm")]) == 2
+    assert "r-star" in capsys.readouterr().err
+    assert not (tmp_path / "rsm").exists()
+
+
 def test_kernel_iota_value(tmp_path):
     code, out = run(["kernel", "--name", "iota", "--upsilon", "0.5"], tmp_path, "ki")
     assert code == 0
@@ -233,6 +242,7 @@ def test_simulate_default_tol_reaches_equilibrium_stop(tmp_path):
     (run0,) = json.loads((out / "simulate.json").read_text())["results"]["runs"]
     assert run0["stop_reason"] == "equilibrium"
     assert run0["t_reached"] < 1e3
+    assert run0["method"] == "bdf"   # M <= DENSE_CAP
 
 
 def test_equilibrium_command(tmp_path):

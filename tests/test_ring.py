@@ -301,10 +301,8 @@ def test_integrate_relaxes_to_stable_twisted_state():
     assert np.max(np.abs(wrap_to_pi(out.theta - twisted_state(M, q)))) < 1e-6
 
 
-def test_integrate_stop_reads_the_solvers_field_at_accepted_steps(monkeypatch):
-    # beyond the solver's own evaluations, integrate evaluates the field once
-    # up front, once for the stop at t = 0 and at most once per root-finding
-    # point of the stop; an accepted step costs the stop nothing
+def _count_integrate_calls(monkeypatch):
+    """Count field and stop root-finding evaluations; keep each solver result."""
     import scipy.integrate._ivp.ivp as ivp
 
     counts = {"rhs": 0, "root": 0}
@@ -329,20 +327,92 @@ def test_integrate_stop_reads_the_solvers_field_at_accepted_steps(monkeypatch):
     monkeypatch.setattr(ring, "_rhs_fft", counted_rhs)
     monkeypatch.setattr(ring, "solve_ivp", counted_solve)
     monkeypatch.setattr(ivp, "solve_event_equation", counted_event_solve)
+    return counts, solver
+
+
+def _attractive_relaxation_case():
     q, M = 3, 120
     p = Params(spectrum.threshold(q, spectrum.ATTRACTIVE_R0) - 5e-3)
     w, spec = build_weights(M, p.r), SystemSpec(p)
-    theta0 = perturb(twisted_state(M, q), 1e-4, seed=12)
+    return spec, w, perturb(twisted_state(M, q), 1e-4, seed=12)
 
-    out = integrate(theta0, spec, w, t_end=5.0, tol=1e-10)
+
+def test_integrate_stop_reads_the_solvers_field_at_accepted_steps(monkeypatch):
+    # rk45: beyond the solver's own evaluations, integrate evaluates the field
+    # once up front, once for the stop at t = 0 and at most once per
+    # root-finding point of the stop; an accepted step costs the stop nothing
+    counts, solver = _count_integrate_calls(monkeypatch)
+    spec, w, theta0 = _attractive_relaxation_case()
+
+    out = integrate(theta0, spec, w, t_end=5.0, tol=1e-10, method="rk45")
     assert out.stop_reason == "t_end" and counts["root"] == 0
     assert counts["rhs"] == solver[-1].nfev + 2
 
     counts.update(rhs=0, root=0)
-    out = integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
+    out = integrate(theta0, spec, w, t_end=1e7, tol=1e-10, method="rk45")
     steps = len(solver[-1].t) - 1
     assert out.stop_reason == "equilibrium" and 0 < counts["root"] < steps
     assert solver[-1].nfev + 2 <= counts["rhs"] <= solver[-1].nfev + 2 + counts["root"]
+    assert (out.method, out.steps, out.nfev, out.njev, out.nlu) == (
+        "rk45", steps, solver[-1].nfev, 0, 0)
+
+
+def test_integrate_bdf_stop_costs_one_field_per_accepted_step(monkeypatch):
+    # bdf never evaluates the field at the state it accepts, so the stop pays
+    # one field evaluation per step on top of the rk45 bound
+    counts, solver = _count_integrate_calls(monkeypatch)
+    spec, w, theta0 = _attractive_relaxation_case()
+
+    out = integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
+    sol = solver[-1]
+    steps = len(sol.t) - 1
+    assert out.method == "bdf" and out.stop_reason == "equilibrium"
+    assert 0 < counts["root"] < steps
+    assert sol.nfev + 2 <= counts["rhs"] <= sol.nfev + 2 + steps + counts["root"]
+    assert (out.steps, out.nfev, out.njev, out.nlu) == (steps, sol.nfev, sol.njev, sol.nlu)
+    assert 0 < out.njev <= out.nlu
+
+
+def test_integrate_default_bdf_matches_rk45():
+    # attractive relaxation: the stop fires anywhere sup |rhs| < 1e-10, which
+    # on this ring's slowest decaying mode (rate ~ 1.4e-4) is up to ~7e-7 from
+    # the twisted state, so the two stopping states agree to 1e-6
+    spec, w, theta0 = _attractive_relaxation_case()
+    a = integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
+    b = integrate(theta0, spec, w, t_end=1e7, tol=1e-10, method="rk45")
+    assert (a.method, a.stop_reason, b.stop_reason) == ("bdf", "equilibrium", "equilibrium")
+    assert np.max(np.abs(a.theta - b.theta)) < 1e-6
+    # short repulsive run past the finite threshold, to a fixed end time: both
+    # methods meet tol 1e-11, so they agree to 1e-8
+    q, M = 5, 120
+    r = spectrum.threshold(q, spectrum.REPULSIVE_R0) - 0.01
+    spec, w = SystemSpec(Params(r), sign=ring.REPULSIVE), build_weights(M, r)
+    assert twisted_spectrum(q, spec, w)[0] > 0.0
+    theta0 = perturb(twisted_state(M, q), 1e-2, seed=3)
+    a = integrate(theta0, spec, w, t_end=50.0)
+    b = integrate(theta0, spec, w, t_end=50.0, method="rk45")
+    assert (a.method, a.stop_reason, b.stop_reason) == ("bdf", "t_end", "t_end")
+    assert np.max(np.abs(a.theta - b.theta)) < 1e-8
+
+
+def test_integrate_method_follows_dense_cap(monkeypatch):
+    p = Params(0.2)
+    theta = perturb(twisted_state(DENSE_CAP + 1, 2), 1e-3, seed=1)
+    w = build_weights(DENSE_CAP + 1, p.r)
+    out = integrate(theta, SystemSpec(p), w, t_end=1e-3)
+    assert (out.method, out.njev, out.nlu) == ("rk45", 0, 0)
+    # a ring of exactly the cap's size still takes bdf (small cap, same rule)
+    monkeypatch.setattr(ring, "DENSE_CAP", 60)
+    out = integrate(perturb(twisted_state(60, 2), 1e-3, seed=1), SystemSpec(p),
+                    build_weights(60, p.r), t_end=1e-3)
+    assert out.method == "bdf" and out.njev > 0
+    monkeypatch.setattr(ring, "DENSE_CAP", DENSE_CAP)
+    # explicit bdf past the cap fails before it evaluates anything
+    calls = []
+    monkeypatch.setattr(ring, "_rhs_fft", lambda *args: calls.append(1))
+    with pytest.raises(ResourceLimitError):
+        integrate(theta, SystemSpec(p), w, t_end=1e-3, method="bdf")
+    assert calls == []
 
 
 def test_integrate_rk4_matches_rk45_short_horizon():
@@ -351,7 +421,7 @@ def test_integrate_rk4_matches_rk45_short_horizon():
     w = build_weights(M, p.r)
     spec = SystemSpec(p)
     theta0 = perturb(twisted_state(M, 2), 0.3, seed=4)
-    a = integrate(theta0, spec, w, t_end=2.0, tol=1e-11)
+    a = integrate(theta0, spec, w, t_end=2.0, tol=1e-11, method="rk45")
     b = integrate(theta0, spec, w, t_end=2.0, method="rk4", rk4_step=1e-3)
     assert np.max(np.abs(a.theta - b.theta)) < 1e-7
     # fixed-step runs are bitwise reproducible
