@@ -8,6 +8,14 @@ Modules:
     cli         -- command-line front end
 """
 
+import os
+
+# One OpenBLAS thread unless the caller chose a count: the LU factorizations of
+# Newton solves and of LSODA's stiff steps then give the same bits on any number
+# of cores. It takes effect when the package is imported before numpy, as the
+# console script does.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import bifurcation, errors, kernel, ring, spectrum
 from .bifurcation import (
     BifurcationReport,

@@ -14,9 +14,10 @@ Spectra are exact: :func:`twisted_spectrum` in closed form at a twisted state
 (circulant linearization, any M), dense eigenvalues of the analytic
 :func:`jacobian` at any other state with ``M <= DENSE_CAP``.
 
-Time integration is implicit BDF fed the analytic :func:`jacobian` for
-``M <= DENSE_CAP`` (near a weakly unstable twisted state the system is stiff)
-and an embedded 5(4) Runge-Kutta pair above it; a fixed-step RK4 walk gives
+Time integration is LSODA for ``M <= DENSE_CAP``: explicit Adams steps while
+the ring is non-stiff, implicit BDF fed the analytic :func:`jacobian` once it
+turns stiff (near a weakly unstable twisted state). Above the cap it is an
+embedded 5(4) Runge-Kutta pair; a fixed-step RK4 walk gives
 bitwise-reproducible runs.
 """
 
@@ -300,12 +301,18 @@ def jacobian(theta, spec, weights):
     if QUADRUPLET in orders:
         buu = np.fft.ifft(B * U * U)                 # conv(b, u, u)
         bR = np.fft.ifft(B * (U * np.conj(U)))       # conv(b, autocorrelation of u)
+    if PAIRWISE in orders:
+        # row j of the circulant b[(j - cols) % M] is window M-1-j of (b, b) reversed
+        windows = np.lib.stride_tricks.sliding_window_view(np.tile(weights.b, 2)[::-1], M)
+        c, s = np.cos(theta), np.sin(theta)
     cols = np.arange(M)
     A = np.zeros((M, M))
     for rows in _row_blocks(M):
         k = cols[rows, None]
         if PAIRWISE in orders:
-            A[rows] = weights.b[(k - cols) % M] * np.cos(theta[None, :] - theta[rows, None]) / M
+            # cos(theta_cols - theta_rows) as a rank-2 product
+            A[rows] = (windows[M - rows.stop:M - rows.start][::-1]
+                       * (c[rows, None] * c + s[rows, None] * s) / M)
         if TRIPLET in orders:
             A[rows] += (2.0 * p.lam / M**2) * (
                 np.conj(u[rows, None]) ** 2 * u * bu[(2 * k - cols) % M]).real
@@ -364,11 +371,7 @@ class IntegrationResult:
     t_reached: float
     stop_reason: str                      # "equilibrium" or "t_end"
     samples: Optional[list] = None        # [(t, theta), ...] when requested
-    method: str = ""                      # "bdf", "rk45" or "rk4"
-    steps: int = 0                        # accepted steps
-    nfev: int = 0                         # the method's own field evaluations
-    njev: int = 0                         # Jacobian evaluations (bdf)
-    nlu: int = 0                          # LU factorizations (bdf)
+    method: str = ""                      # "lsoda", "rk45" or "rk4"
 
 
 def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
@@ -378,14 +381,15 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
     The adaptive paths have absolute and relative tolerance ``tol`` and a
     terminal equilibrium stop at ``sup |rhs| < equilibrium_tol``; the default
     ``tol`` sits an order below the stop, so the integrator's error on the
-    field does not keep it from firing. ``method=None`` picks ``"bdf"`` for
-    ``M <= DENSE_CAP`` and ``"rk45"`` above it:
+    field does not keep it from firing. The result names the method taken:
 
-    - ``"bdf"``: variable-order implicit BDF fed the analytic :func:`jacobian`
-      (zero row and column 0 in the solver's M x M frame). Near a weakly
-      unstable twisted state the pinned spectrum spans several decades, so
-      explicit steps are bounded by stability rather than accuracy; larger
-      rings raise :class:`ResourceLimitError` before any work.
+    - ``method=None``: for ``M <= DENSE_CAP``, LSODA (Petzold, *SIAM J. Sci.
+      Stat. Comput.* 4, 1983), reported as ``"lsoda"``. It takes explicit
+      Adams steps while they are bounded by accuracy and switches to
+      implicit BDF fed the analytic :func:`jacobian` (zero row and column 0
+      in the solver's M x M frame) when stability bounds them, as near a
+      weakly unstable twisted state, whose pinned spectrum spans several
+      decades. Larger rings take ``"rk45"``.
     - ``"rk45"``: embedded 5(4) Runge-Kutta pair, any M.
     - ``"rk4"``: fixed-step classical RK4 walk (step ``rk4_step``) for
       bitwise-reproducible runs.
@@ -393,19 +397,15 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
     Entry 0 never drifts: its velocity is identically zero. At each accepted
     step the equilibrium stop reads the field the solver has just evaluated
     at that state when there is one (rk45); otherwise, and at the stop's root
-    finding, it evaluates the field afresh. The result reports the method
-    taken with its step, field-evaluation, Jacobian and LU counts.
+    finding, it evaluates the field afresh.
     """
     theta0 = _check_state(theta0, weights)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if method is None:
-        method = "bdf" if weights.M <= DENSE_CAP else "rk45"
-    if method not in ("bdf", "rk45", "rk4"):
-        raise ValueError(f"unknown method {method!r}; expected 'bdf', 'rk45' or 'rk4'")
-    if method == "bdf" and weights.M > DENSE_CAP:
-        raise ResourceLimitError(f"bdf needs the dense Jacobian, M <= {DENSE_CAP}; "
-                                 f"got M={weights.M}")
+        method = "lsoda" if weights.M <= DENSE_CAP else "rk45"
+    elif method not in ("rk45", "rk4"):
+        raise ValueError(f"unknown method {method!r}; expected None, 'rk45' or 'rk4'")
     f = lambda th: _rhs_fft(th, spec, weights)
 
     if np.max(np.abs(f(theta0))) < equilibrium_tol:
@@ -420,8 +420,6 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
         t = 0.0
         samples = [] if n_samples else None
         next_sample = 0
-        steps = 0
-        reason = "t_end"
         while t < t_end - 1e-15:
             step = min(h, t_end - t)
             k1 = f(theta)
@@ -431,30 +429,23 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
             theta = theta + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             theta[0] = 0.0
             t += step
-            steps += 1
             if samples is not None:
                 while next_sample < n_samples and sample_ts[next_sample] <= t:
                     samples.append((float(sample_ts[next_sample]), theta.copy()))
                     next_sample += 1
             if np.max(np.abs(f(theta))) < equilibrium_tol:
-                reason = "equilibrium"
-                break
-        return IntegrationResult(theta=theta, t_reached=t, stop_reason=reason,
-                                 samples=samples, method=method, steps=steps,
-                                 nfev=4 * steps)
+                return IntegrationResult(theta=theta, t_reached=t, stop_reason="equilibrium",
+                                         samples=samples, method=method)
+        return IntegrationResult(theta=theta, t_reached=t, stop_reason="t_end",
+                                 samples=samples, method=method)
 
-    last = [None, None]    # the solver's latest (state, field)
-    accepted = [0, 0.0]    # accepted steps, latest accepted time
+    last = [None, None]  # the solver's latest (state, field)
 
     def field(t, y):
         last[:] = y.copy(), f(y)
         return last[1]
 
     def event(t, y):
-        # the stop is evaluated once per accepted step, each past the last one;
-        # its root finding stays inside steps already taken
-        if t > accepted[1]:
-            accepted[:] = accepted[0] + 1, t
         # an rk45 step ends where the solver last evaluated the field
         fy = last[1] if np.array_equal(y, last[0]) else f(y)
         return float(np.max(np.abs(fy)) - equilibrium_tol)
@@ -462,7 +453,7 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
     event.terminal = True
     event.direction = -1
     options = {}
-    if method == "bdf":
+    if method == "lsoda":
         M = weights.M
 
         def jac(t, y):
@@ -489,8 +480,7 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
     if n_samples:
         samples = [(float(t), _repin(sol.y[:, i])) for i, t in enumerate(sol.t)]
     return IntegrationResult(theta=theta, t_reached=t_reached, stop_reason=reason,
-                             samples=samples, method=method, steps=accepted[0],
-                             nfev=int(sol.nfev), njev=int(sol.njev), nlu=int(sol.nlu))
+                             samples=samples, method=method)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +150,23 @@ def test_branch_csv_header(tmp_path):
     assert eq_lines[0] == "index,x,theta"
 
 
+def test_package_import_pins_openblas_to_one_thread_unless_set():
+    # LU factorizations round differently on different BLAS thread counts, so
+    # without the pin the console script's bytes would follow the core count
+    import twistlab
+
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env["PYTHONPATH"] = str(Path(twistlab.__file__).parents[1])
+    code = "import twistlab, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    for preset, expected in ((None, "1"), ("3", "3")):
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == expected
+
+
 def test_stability_map_rerun_is_byte_identical(tmp_path):
     args = ["stability-map", "--q", "8", "--r", "0.2:0.4:6", "--lambda", "0:6:9",
             "--tol", "1e-3"]
@@ -242,7 +263,7 @@ def test_simulate_default_tol_reaches_equilibrium_stop(tmp_path):
     (run0,) = json.loads((out / "simulate.json").read_text())["results"]["runs"]
     assert run0["stop_reason"] == "equilibrium"
     assert run0["t_reached"] < 1e3
-    assert run0["method"] == "bdf"   # M <= DENSE_CAP
+    assert run0["method"] == "lsoda"   # M <= DENSE_CAP
 
 
 def test_equilibrium_command(tmp_path):

@@ -353,34 +353,32 @@ def test_integrate_stop_reads_the_solvers_field_at_accepted_steps(monkeypatch):
     steps = len(solver[-1].t) - 1
     assert out.stop_reason == "equilibrium" and 0 < counts["root"] < steps
     assert solver[-1].nfev + 2 <= counts["rhs"] <= solver[-1].nfev + 2 + counts["root"]
-    assert (out.method, out.steps, out.nfev, out.njev, out.nlu) == (
-        "rk45", steps, solver[-1].nfev, 0, 0)
 
 
-def test_integrate_bdf_stop_costs_one_field_per_accepted_step(monkeypatch):
-    # bdf never evaluates the field at the state it accepts, so the stop pays
-    # one field evaluation per step on top of the rk45 bound
+def test_integrate_lsoda_stop_costs_one_field_per_accepted_step(monkeypatch):
+    # lsoda does not end a step with a field evaluation at the state it
+    # accepts, so the stop pays one per step on top of the rk45 bound
     counts, solver = _count_integrate_calls(monkeypatch)
     spec, w, theta0 = _attractive_relaxation_case()
 
     out = integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
     sol = solver[-1]
     steps = len(sol.t) - 1
-    assert out.method == "bdf" and out.stop_reason == "equilibrium"
+    assert out.method == "lsoda" and out.stop_reason == "equilibrium"
     assert 0 < counts["root"] < steps
     assert sol.nfev + 2 <= counts["rhs"] <= sol.nfev + 2 + steps + counts["root"]
-    assert (out.steps, out.nfev, out.njev, out.nlu) == (steps, sol.nfev, sol.njev, sol.nlu)
-    assert 0 < out.njev <= out.nlu
+    # the slow relaxation turns stiff, and the analytic Jacobian takes over
+    assert sol.njev > 0
 
 
-def test_integrate_default_bdf_matches_rk45():
+def test_integrate_default_matches_rk45():
     # attractive relaxation: the stop fires anywhere sup |rhs| < 1e-10, which
     # on this ring's slowest decaying mode (rate ~ 1.4e-4) is up to ~7e-7 from
     # the twisted state, so the two stopping states agree to 1e-6
     spec, w, theta0 = _attractive_relaxation_case()
     a = integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
     b = integrate(theta0, spec, w, t_end=1e7, tol=1e-10, method="rk45")
-    assert (a.method, a.stop_reason, b.stop_reason) == ("bdf", "equilibrium", "equilibrium")
+    assert (a.method, a.stop_reason, b.stop_reason) == ("lsoda", "equilibrium", "equilibrium")
     assert np.max(np.abs(a.theta - b.theta)) < 1e-6
     # short repulsive run past the finite threshold, to a fixed end time: both
     # methods meet tol 1e-11, so they agree to 1e-8
@@ -391,28 +389,40 @@ def test_integrate_default_bdf_matches_rk45():
     theta0 = perturb(twisted_state(M, q), 1e-2, seed=3)
     a = integrate(theta0, spec, w, t_end=50.0)
     b = integrate(theta0, spec, w, t_end=50.0, method="rk45")
-    assert (a.method, a.stop_reason, b.stop_reason) == ("bdf", "t_end", "t_end")
+    assert (a.method, a.stop_reason, b.stop_reason) == ("lsoda", "t_end", "t_end")
     assert np.max(np.abs(a.theta - b.theta)) < 1e-8
 
 
+def test_integrate_default_builds_no_jacobian_while_not_stiff(monkeypatch):
+    # far from any threshold the ring relaxes in t ~ 100 with steps bounded by
+    # accuracy: the default stays explicit and never pays for a dense LU
+    counts, solver = _count_integrate_calls(monkeypatch)
+    q, M, r = 5, 400, 0.3
+    spec, w = SystemSpec(Params(r)), build_weights(M, r)
+    out = integrate(perturb(twisted_state(M, q), 1e-2, seed=1), spec, w, t_end=1e3)
+    assert (out.method, out.stop_reason) == ("lsoda", "equilibrium")
+    assert solver[-1].njev == 0 and solver[-1].nlu == 0
+
+
 def test_integrate_method_follows_dense_cap(monkeypatch):
+    # lsoda gets the analytic Jacobian up to the cap; rk45 takes larger rings
+    calls = []
+    solve_ivp = ring.solve_ivp
+
+    def recorded_solve(fun, t_span, y0, method, **kwargs):
+        calls.append((method, "jac" in kwargs))
+        return solve_ivp(fun, t_span, y0, method=method, **kwargs)
+
+    monkeypatch.setattr(ring, "solve_ivp", recorded_solve)
     p = Params(0.2)
     theta = perturb(twisted_state(DENSE_CAP + 1, 2), 1e-3, seed=1)
-    w = build_weights(DENSE_CAP + 1, p.r)
-    out = integrate(theta, SystemSpec(p), w, t_end=1e-3)
-    assert (out.method, out.njev, out.nlu) == ("rk45", 0, 0)
-    # a ring of exactly the cap's size still takes bdf (small cap, same rule)
+    out = integrate(theta, SystemSpec(p), build_weights(DENSE_CAP + 1, p.r), t_end=1e-3)
+    assert out.method == "rk45" and calls == [("RK45", False)]
+    # a ring of exactly the cap's size still takes lsoda (small cap, same rule)
     monkeypatch.setattr(ring, "DENSE_CAP", 60)
     out = integrate(perturb(twisted_state(60, 2), 1e-3, seed=1), SystemSpec(p),
                     build_weights(60, p.r), t_end=1e-3)
-    assert out.method == "bdf" and out.njev > 0
-    monkeypatch.setattr(ring, "DENSE_CAP", DENSE_CAP)
-    # explicit bdf past the cap fails before it evaluates anything
-    calls = []
-    monkeypatch.setattr(ring, "_rhs_fft", lambda *args: calls.append(1))
-    with pytest.raises(ResourceLimitError):
-        integrate(theta, SystemSpec(p), w, t_end=1e-3, method="bdf")
-    assert calls == []
+    assert out.method == "lsoda" and calls[-1] == ("LSODA", True)
 
 
 def test_integrate_rk4_matches_rk45_short_horizon():
