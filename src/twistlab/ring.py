@@ -7,11 +7,14 @@ profiles remain comparable to the analytic branch expansions.
 
 The pairwise, triplet, and quadruplet sums all reduce to circular
 convolutions of ``exp(i theta)`` against the weight vector, which the fast
-path evaluates with FFTs in O(M log M); the naive path evaluates the same
-convolutions by direct summation and serves as the oracle.
+path evaluates with FFTs in O(M log M): the pairwise and quadruplet terms
+share one inverse FFT, and for even M the triplet term needs only a
+half-length one. The naive path evaluates the same convolutions by direct
+summation and serves as the oracle.
 
-Spectra are exact: :func:`twisted_spectrum` in closed form at a twisted state
-(circulant linearization, any M), dense eigenvalues of the analytic
+Spectra are exact, and :func:`jacobian_spectrum` picks the path from the
+state: :func:`twisted_spectrum` in closed form when it is handed a twisted
+state (circulant linearization, any M), dense eigenvalues of the analytic
 :func:`jacobian` at any other state with ``M <= DENSE_CAP``.
 
 Time integration is LSODA for ``M <= DENSE_CAP``: explicit Adams steps while
@@ -21,6 +24,7 @@ embedded 5(4) Runge-Kutta pair; a fixed-step RK4 walk gives
 bitwise-reproducible runs.
 """
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -43,6 +47,8 @@ from .errors import (
 from .kernel import Params
 
 TWO_PI = 2.0 * math.pi
+
+_log = logging.getLogger("twistlab")
 
 PAIRWISE = "pairwise"
 TRIPLET = "triplet"
@@ -220,16 +226,35 @@ def _rhs_fft(theta, spec, weights):
     u = np.exp(1j * theta)
     U = np.fft.fft(u)
     B = weights.b_fft
-    p = spec.p
+    p, orders = spec.p, spec.include_orders
     G = np.zeros(M)
-    if PAIRWISE in spec.include_orders:
+    if QUADRUPLET in orders:
+        # conv(b, u, u, conj u) has spectrum B U |U|^2 and is read through
+        # conj(u) like the pairwise conv(b, u): one ifft of B U X serves both
+        X = U.real ** 2
+        X += U.imag ** 2
+        X *= p.mu / M**3
+        if PAIRWISE in orders:
+            X += 1.0 / M
+        X = X * U
+        X *= B
+        G = (np.conj(u) * np.fft.ifft(X)).imag
+    elif PAIRWISE in orders:
         G = (np.conj(u) * np.fft.ifft(B * U)).imag / M
-    if TRIPLET in spec.include_orders:
-        conv = np.fft.ifft(B * U * U)[(2 * np.arange(M)) % M]
+    if TRIPLET in orders:
+        Y = B * U
+        Y *= U
+        if M % 2 == 0:
+            # entries 2k of a length-M ifft: half the ifft of the folded
+            # spectrum at length M/2, once for k < M/2 and again for k >= M/2
+            h = M // 2
+            Y[:h] += Y[h:]
+            half = np.fft.ifft(Y[:h])
+            half *= 0.5
+            conv = np.concatenate((half, half))
+        else:
+            conv = np.fft.ifft(Y)[(2 * np.arange(M)) % M]
         G = G + p.lam * (np.conj(u) ** 2 * conv).imag / M**2
-    if QUADRUPLET in spec.include_orders:
-        conv = np.fft.ifft(B * U * np.conj(U) * U)
-        G = G + p.mu * (np.conj(u) * conv).imag / M**3
     out = spec.sign_factor * (G - G[0])
     out[0] = 0.0
     return out
@@ -350,18 +375,47 @@ def _repin(theta):
     return theta
 
 
+def _twist_count(theta, spec):
+    """The q with ``theta`` bitwise ``twisted_state(M, q)``, or None.
+
+    ``q`` runs over ``0 <= q < M``, one count per distinct twisted state of
+    the ring; larger counts alias ``q mod M`` and are left to the dense path.
+    O(M). Returns None, never raises, for any state or spec the closed form
+    does not cover.
+    """
+    M = len(theta)
+    if M < 2 or PAIRWISE not in spec.include_orders:
+        return None
+    x = float(theta[1]) * M / TWO_PI
+    if not math.isfinite(x):
+        return None
+    q = round(x)
+    if not 0 <= q < M or not np.array_equal(theta, twisted_state(M, q)):
+        return None
+    return q
+
+
 def jacobian_spectrum(theta, spec, weights, n_eigs=None):
     """Real parts of the Jacobian eigenvalues on the pinned coordinates, descending.
 
-    Dense eigenvalues of the analytic :func:`jacobian`, for any state with
-    ``M <= DENSE_CAP``; larger rings raise :class:`ResourceLimitError`. At a
-    twisted state :func:`twisted_spectrum` gives the same values at any M.
-    ``n_eigs`` keeps only the leading values.
+    When ``theta`` is bitwise ``twisted_state(M, q)`` with ``0 <= q < M``, and
+    the spec has the pairwise term, this is :func:`twisted_spectrum` in
+    O(M log M) at any M. Any other state gets the dense eigenvalues of the
+    analytic :func:`jacobian`, for ``M <= DENSE_CAP``; larger rings raise
+    :class:`ResourceLimitError`. ``n_eigs`` keeps only the leading values. The
+    path taken is logged at DEBUG level on the ``twistlab`` logger.
     """
-    if weights.M > DENSE_CAP:
-        raise ResourceLimitError(f"dense eigensolve needs M <= {DENSE_CAP}; got M={weights.M}")
-    eig = np.linalg.eigvals(jacobian(theta, spec, weights))
-    parts = np.sort(eig.real)[::-1]
+    theta = _check_state(theta, weights)
+    M = weights.M
+    q = _twist_count(theta, spec)
+    if q is not None:
+        _log.debug("jacobian_spectrum: closed-form path, M=%d, q=%d", M, q)
+        parts = twisted_spectrum(q, spec, weights)
+    else:
+        _log.debug("jacobian_spectrum: dense path, M=%d", M)
+        if M > DENSE_CAP:
+            raise ResourceLimitError(f"dense eigensolve needs M <= {DENSE_CAP}; got M={M}")
+        parts = np.sort(np.linalg.eigvals(jacobian(theta, spec, weights)).real)[::-1]
     return parts if n_eigs is None else parts[:n_eigs]
 
 

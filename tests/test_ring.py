@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -85,11 +86,21 @@ def test_twisted_state_is_equilibrium(M, q, p):
         assert np.max(np.abs(rhs(twisted_state(M, q), spec_r, w))) < 1e-12
 
 
-@pytest.mark.parametrize("M", [64, 256, 1024])
-def test_fft_matches_naive(M):
+_ALL_ORDERS = ("pairwise", "triplet", "quadruplet")
+
+
+@pytest.mark.parametrize("M,orders", [
+    *(pytest.param(M, _ALL_ORDERS, id=str(M)) for M in (63, 64, 255, 256, 1024)),
+    *(pytest.param(M, orders, id=f"{M}-{'+'.join(orders)}")
+      for M in (63, 64, 255, 256)
+      for orders in [("triplet",), ("quadruplet",), ("pairwise", "quadruplet")]),
+])
+def test_fft_matches_naive(M, orders):
+    # even M takes the half-length triplet ifft, odd M the full one; the
+    # quadruplet term shares one ifft with the pairwise term when both are on
     p = Params(0.19, 0.5, -0.4)
     w = build_weights(M, p.r)
-    spec = SystemSpec(p, include_orders=("pairwise", "triplet", "quadruplet"))
+    spec = SystemSpec(p, include_orders=orders)
     theta = _random_state(M, M + 1, scale=3.0)
     fast = rhs(theta, spec, w, method="fft")
     slow = rhs(theta, spec, w, method="naive")
@@ -241,12 +252,12 @@ def test_jacobian_spectrum_pairs_and_c1_convergence():
     for M in (200, 400):
         w = build_weights(M, p.r)
         eigs = jacobian_spectrum(twisted_state(M, q), SystemSpec(p), w)
-        # double multiplicity: analytic pairwise Jacobian pairs to 1e-8
+        # double multiplicity: modes k and M - k pair (closed-form path)
         top = eigs[:10]
         assert np.max(np.abs(top[0::2] - top[1::2])) < 1e-8
         expected = np.sort(kernel.c1(q, np.arange(1, M), p))[::-1][:5]
         assert np.max(np.abs(top[0::2][:5] - expected)) < 5.0 / M
-    # higher orders included: the analytic Jacobian pairs to roundoff too
+    # higher orders included: the pairs agree to roundoff too
     p2 = Params(0.24, 0.3, 0.2)
     M = 300
     eigs2 = jacobian_spectrum(twisted_state(M, q), SystemSpec(p2), build_weights(M, p2.r))
@@ -272,9 +283,64 @@ def test_dense_paths_reject_rings_past_dense_cap():
     w = build_weights(M, p.r)
     theta = twisted_state(M, 2)
     with pytest.raises(ResourceLimitError):
-        jacobian_spectrum(theta, SystemSpec(p), w, n_eigs=4)
+        jacobian_spectrum(perturb(theta, 1e-3, seed=1), SystemSpec(p), w, n_eigs=4)
+    # the twisted state itself takes the closed form at any M
+    assert np.array_equal(jacobian_spectrum(theta, SystemSpec(p), w, n_eigs=4),
+                          twisted_spectrum(2, SystemSpec(p), w)[:4])
     with pytest.raises(ResourceLimitError):
         newton_equilibrium(theta, SystemSpec(p), w)
+
+
+def test_jacobian_spectrum_dispatch(monkeypatch):
+    M, q = 96, 3
+    p = Params(0.24, 0.3, 0.2)
+    w = build_weights(M, p.r)
+    spec = SystemSpec(p)
+    theta = twisted_state(M, q)
+    one_ulp_off = theta.copy()
+    one_ulp_off[M // 2] = np.nextafter(one_ulp_off[M // 2], np.inf)
+    dense_cases = [
+        (one_ulp_off, spec),
+        (twisted_state(M, q + M), spec),
+        (-theta, spec),                                        # q = -3
+        (theta, SystemSpec(p, include_orders=("triplet",))),  # no pairwise term
+    ]
+    oracles = [np.sort(np.linalg.eigvals(jacobian(th, sp, w)).real)[::-1]
+               for th, sp in dense_cases]
+
+    def refuse(*args):
+        raise AssertionError("dense path taken at a twisted state")
+
+    monkeypatch.setattr(ring, "jacobian", refuse)
+    exact = twisted_spectrum(q, spec, w)
+    assert np.array_equal(jacobian_spectrum(theta, spec, w), exact)
+    assert np.array_equal(jacobian_spectrum(theta, spec, w, n_eigs=4), exact[:4])
+    # validation comes first: an unpinned state is an error, not a dense solve
+    unpinned = theta.copy()
+    unpinned[0] = 0.1
+    with pytest.raises(ValueError):
+        jacobian_spectrum(unpinned, spec, w)
+
+    calls = []
+    monkeypatch.setattr(ring, "jacobian", lambda *args: calls.append(1) or jacobian(*args))
+    for (th, sp), oracle in zip(dense_cases, oracles):
+        assert np.max(np.abs(jacobian_spectrum(th, sp, w) - oracle)) <= 1e-12
+    assert len(calls) == len(dense_cases)
+
+
+def test_jacobian_spectrum_logs_its_path(caplog, capsys):
+    M, q = 48, 2
+    p = Params(0.2)
+    w = build_weights(M, p.r)
+    theta = twisted_state(M, q)
+    with caplog.at_level(logging.DEBUG, logger="twistlab"):
+        jacobian_spectrum(theta, SystemSpec(p), w)
+        jacobian_spectrum(perturb(theta, 1e-3, seed=1), SystemSpec(p), w)
+    assert [r.getMessage() for r in caplog.records if r.name == "twistlab"] == [
+        "jacobian_spectrum: closed-form path, M=48, q=2",
+        "jacobian_spectrum: dense path, M=48",
+    ]
+    assert capsys.readouterr() == ("", "")
 
 
 def test_integrate_immediate_equilibrium_stop():
