@@ -44,7 +44,7 @@ class CurveSpec:
 
     ``base`` is the curve point at ``s = 0`` and ``direction`` its derivative
     there. ``ell`` is the mode whose eigenvalue crosses zero at the base;
-    construction verifies the crossing to within ``crossing_tol``.
+    construction verifies the crossing to within ``CROSSING_TOL``.
     """
 
     family: str
@@ -52,8 +52,6 @@ class CurveSpec:
     direction: tuple
     q: int
     ell: int
-    t: Optional[float] = None
-    crossing_tol: float = CROSSING_TOL
 
     def __post_init__(self):
         if self.q < 1 or self.ell < 1:
@@ -63,14 +61,14 @@ class CurveSpec:
         if len(self.direction) != 3:
             raise ValueError("direction must be a (dr, dlam, dmu) triple")
         resid = abs(kernel.c1(self.q, self.ell, self.base))
-        if resid >= self.crossing_tol:
+        if resid >= CROSSING_TOL:
             raise ValueError(
                 f"c1(q={self.q}, ell={self.ell}, base) = {resid:.3e} exceeds the "
-                f"crossing tolerance {self.crossing_tol:.1e}: base is not a mode-{self.ell} crossing"
+                f"crossing tolerance {CROSSING_TOL:.1e}: base is not a mode-{self.ell} crossing"
             )
 
 
-def linear_curve(q, ell, base, direction, crossing_tol=CROSSING_TOL):
+def linear_curve(q, ell, base, direction):
     """Straight-line curve ``p(s) = base + s * direction`` through a crossing."""
     direction = tuple(float(d) for d in direction)
     if direction == (1.0, 0.0, 0.0):
@@ -79,8 +77,7 @@ def linear_curve(q, ell, base, direction, crossing_tol=CROSSING_TOL):
         family = LAMBDA_LINEAR
     else:
         family = MIXED_LINEAR
-    return CurveSpec(family=family, base=base, direction=direction, q=q, ell=ell,
-                     crossing_tol=crossing_tol)
+    return CurveSpec(family=family, base=base, direction=direction, q=q, ell=ell)
 
 
 def t_family_curve(q, r0, t):
@@ -92,8 +89,7 @@ def t_family_curve(q, r0, t):
     """
     h = kernel.big_H(q, r0)
     base = Params(r0, h / 4.0 - 2.0 * t, 4.0 * t)
-    return CurveSpec(family=T_FAMILY, base=base, direction=(0.0, 4.0, 2.0),
-                     q=q, ell=q, t=t)
+    return CurveSpec(family=T_FAMILY, base=base, direction=(0.0, 4.0, 2.0), q=q, ell=q)
 
 
 @dataclass(frozen=True)
@@ -264,8 +260,7 @@ def stability_column(q, r, lambda_values, tol=1e-4):
     lam_c = brentq(lambda lam: m0 - lam * wq,
                    lambda_values[j], lambda_values[j + 1], xtol=1e-12)
     try:
-        curve = linear_curve(q, ell, Params(min(r, 0.5 - 1e-12), lam_c, 0.0),
-                             (0.0, 1.0, 0.0), crossing_tol=1e-6)
+        curve = linear_curve(q, ell, Params(min(r, 0.5 - 1e-12), lam_c, 0.0), (0.0, 1.0, 0.0))
         rep = gamma_pair(curve, kappa_tol=tol)
         point = BoundaryPoint(r=float(r), lam=float(lam_c), ell=ell,
                               criticality=rep.criticality,

@@ -312,6 +312,10 @@ def _validate(config, parser):
     if config.command == "simulate":
         if p.get("r") is None and p.get("s") is None and p.get("preset") is None:
             parser.error("simulate requires --r or --s (or --preset fig6)")
+    if config.command == "equilibrium" and p["init"] == "z1" and p["sign"] == "repulsive":
+        if p.get("r") is None:
+            parser.error("--init z1 is built on the attractive crossing; "
+                         "with --sign repulsive give --r")
 
 
 # ---------------------------------------------------------------------------
@@ -590,17 +594,20 @@ def _mode_amplitudes(theta, q):
     return diff, spec
 
 
+def _ring_radius(p, offset):
+    """``(r, r_m)``: ``--r`` and None, else ``r_m + offset`` and the finite
+    threshold ``r_m`` of ``--sign``."""
+    if p.get("r") is not None:
+        return p["r"], None
+    r_m = ring.finite_threshold(p["q"], p["M"], p["sign"])
+    return r_m + offset, r_m
+
+
 def _run_simulate(cfg):
     p = cfg.parameters
     M, q = p["M"], p["q"]
     prov = []
-    if p.get("r") is not None:
-        r = p["r"]
-        r_m = None
-    else:
-        kind = ring.REPULSIVE if p["sign"] == "repulsive" else ring.ATTRACTIVE
-        r_m = ring.finite_threshold(q, M, kind)
-        r = r_m + p["s"]
+    r, r_m = _ring_radius(p, p["s"])
     params = Params(r, p["lam"], p["mu"])
     spec = ring.SystemSpec(params, sign=p["sign"])
     weights = ring.build_weights(M, r)
@@ -653,10 +660,7 @@ def _run_simulate(cfg):
 def _run_equilibrium(cfg):
     p = cfg.parameters
     M, q = p["M"], p["q"]
-    if p.get("r") is not None:
-        r = p["r"]
-    else:
-        r = ring.finite_threshold(q, M, ring.ATTRACTIVE) + p["s0"]
+    r, _ = _ring_radius(p, p["s0"])
     params = Params(r, p["lam"], p["mu"])
     spec = ring.SystemSpec(params, sign=p["sign"])
     weights = ring.build_weights(M, r)
@@ -667,10 +671,11 @@ def _run_equilibrium(cfg):
         theta0 = bifurcation.branch_profile(curve, bifurcation.a_app(report, p["s0"]), 1, M).values
     eq = ring.newton_equilibrium(theta0, spec, weights,
                                  max_iter=p["max_iter"], tol=p["tol"])
+    leading = ring.jacobian_spectrum(eq.theta, spec, weights, n_eigs=10)
     results = {
         "M": M, "q": q, "r": r, "sign": p["sign"],
         "residual_norm": eq.residual_norm, "iterations": eq.iterations,
-        "leading_eigenvalues": [float(v) for v in eq.jacobian_leading_eigs],
+        "leading_eigenvalues": [float(v) for v in leading],
     }
     return results, {"equilibrium": _state_csv(eq.theta)}, []
 

@@ -65,6 +65,3 @@ class StiffnessError(DomainError):
 class ResourceLimitError(DomainError):
     """Problem size exceeds the configured dense-solver cap."""
 
-
-class ConsistencyError(TwistlabError):
-    """Internal self-check failed (fast path disagrees with reference path)."""

@@ -42,9 +42,6 @@ class Params:
         if not 0.0 < self.r <= 0.5:
             raise ValueError(f"coupling range must satisfy 0 < r <= 1/2, got r={self.r}")
 
-    def as_tuple(self):
-        return (self.r, self.lam, self.mu)
-
 
 def w_kernel(r, x):
     """Indicator coupling kernel on the unit-circumference ring.

@@ -17,11 +17,13 @@ state: :func:`twisted_spectrum` in closed form when it is handed a twisted
 state (circulant linearization, any M), dense eigenvalues of the analytic
 :func:`jacobian` at any other state with ``M <= DENSE_CAP``.
 
-Time integration is LSODA for ``M <= DENSE_CAP``: explicit Adams steps while
-the ring is non-stiff, implicit BDF fed the analytic :func:`jacobian` once it
-turns stiff (near a weakly unstable twisted state). Above the cap it is an
-embedded 5(4) Runge-Kutta pair; a fixed-step RK4 walk gives
-bitwise-reproducible runs.
+Time integration is adaptive with a terminal stop at the equilibrium
+``sup |rhs| < EQUILIBRIUM_TOL``. It is LSODA for ``M <= DENSE_CAP``: explicit
+Adams steps while the ring is non-stiff, implicit BDF fed the analytic
+:func:`jacobian` once it turns stiff (near a weakly unstable twisted state).
+Above the cap it is an embedded 5(4) Runge-Kutta pair. Damped Newton
+refinement of an equilibrium is dense, up to ``DENSE_CAP``, and only solves:
+callers that want the spectrum at the solution ask :func:`jacobian_spectrum`.
 """
 
 import logging
@@ -37,7 +39,6 @@ from scipy.optimize import brentq
 
 from . import kernel, spectrum
 from .errors import (
-    ConsistencyError,
     ConvergenceError,
     NearSymmetryDegenerateError,
     NoThresholdError,
@@ -63,7 +64,9 @@ DENSE_CAP = 2000
 
 _BLOCK_ELEMS = 1 << 18   # entries per row block of the O(M^2) fills (2 MiB of float64)
 _RCOND_LIMIT = 1e-12     # Newton Jacobian reciprocal-condition floor
-_SELF_CHECK_RTOL = 1e-9  # fft vs naive agreement in self-check mode
+
+#: Integration stops once ``sup |rhs|`` falls below this.
+EQUILIBRIUM_TOL = 1e-10
 
 
 @dataclass
@@ -87,16 +90,13 @@ class CouplingWeights:
         return self._b_fft
 
 
-def build_weights(M, r, integer_k=False):
+def build_weights(M, r):
     """Coupling weights for an M-ring with range ``r``.
 
     Offsets with circular distance up to ``floor(r M)`` get weight 1; the next
     distance gets the fractional remainder ``r M - floor(r M)`` (dropped when
-    it would wrap past the antipode, or when ``integer_k`` is set). With
-    ``integer_k`` the effective radius is quantized to multiples of ``1/M``, so
-    radius sweeps lose their continuity; branch searches on such rings tend to
-    succeed only when the target radius sits near an integer multiple of
-    ``1/M``.
+    it would wrap past the antipode), so the weights, and every spectrum and
+    threshold of the ring, are continuous in ``r``.
     """
     if M < 4:
         raise ValueError("need at least M = 4 oscillators")
@@ -107,8 +107,7 @@ def build_weights(M, r, integer_k=False):
     k0 = int(math.floor(r * M))
     b = np.zeros(M)
     b[dist <= k0] = 1.0
-    if not integer_k:
-        b[dist == k0 + 1] = r * M - k0
+    b[dist == k0 + 1] = r * M - k0
     return CouplingWeights(M=M, r=r, b=b)
 
 
@@ -285,27 +284,16 @@ def _rhs_naive(theta, spec, weights):
 def rhs(theta, spec, weights, method="fft"):
     """Pinned phase-difference velocity field.
 
-    ``method`` selects the FFT fast path, the direct-summation naive path, or
-    ``"check"`` which runs both and raises unless they agree to relative
-    sup-norm 1e-9. Entry 0 of the result is exactly 0.
+    ``method="fft"`` is the O(M log M) fast path; ``"naive"`` evaluates the
+    same sums by O(M^2) direct summation and is the reference the fast path
+    is tested against. Entry 0 of the result is exactly 0.
     """
     theta = _check_state(theta, weights)
     if method == "fft":
         return _rhs_fft(theta, spec, weights)
     if method == "naive":
         return _rhs_naive(theta, spec, weights)
-    if method == "check":
-        fast = _rhs_fft(theta, spec, weights)
-        slow = _rhs_naive(theta, spec, weights)
-        diff = np.max(np.abs(fast - slow))
-        # absolute floor keeps the check meaningful at equilibria (field ~ roundoff)
-        if diff > 1e-12 + _SELF_CHECK_RTOL * np.max(np.abs(slow)):
-            raise ConsistencyError(
-                f"fft and naive right-hand sides disagree: sup-norm {diff:.3e} "
-                f"on a field of sup-norm {np.max(np.abs(slow)):.3e}"
-            )
-        return fast
-    raise ValueError(f"unknown method {method!r}; expected 'fft', 'naive', or 'check'")
+    raise ValueError(f"unknown method {method!r}; expected 'fft' or 'naive'")
 
 
 def jacobian(theta, spec, weights):
@@ -425,17 +413,18 @@ class IntegrationResult:
     t_reached: float
     stop_reason: str                      # "equilibrium" or "t_end"
     samples: Optional[list] = None        # [(t, theta), ...] when requested
-    method: str = ""                      # "lsoda", "rk45" or "rk4"
+    method: str = ""                      # "lsoda" or "rk45"
 
 
-def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
-              method=None, n_samples=0, rk4_step=None):
+def integrate(theta0, spec, weights, t_end, tol=1e-11, method=None, n_samples=0):
     """Integrate the ring until ``t_end`` or until the state is an equilibrium.
 
-    The adaptive paths have absolute and relative tolerance ``tol`` and a
-    terminal equilibrium stop at ``sup |rhs| < equilibrium_tol``; the default
-    ``tol`` sits an order below the stop, so the integrator's error on the
-    field does not keep it from firing. The result names the method taken:
+    Both paths are adaptive, with absolute and relative tolerance ``tol`` and
+    a terminal equilibrium stop at ``sup |rhs| < EQUILIBRIUM_TOL``; the
+    default ``tol`` sits an order below the stop, so the integrator's error
+    on the field does not keep it from firing. ``n_samples`` samples the
+    trajectory at that many evenly spaced times. The result names the method
+    taken:
 
     - ``method=None``: for ``M <= DENSE_CAP``, LSODA (Petzold, *SIAM J. Sci.
       Stat. Comput.* 4, 1983), reported as ``"lsoda"``. It takes explicit
@@ -445,8 +434,6 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
       weakly unstable twisted state, whose pinned spectrum spans several
       decades. Larger rings take ``"rk45"``.
     - ``"rk45"``: embedded 5(4) Runge-Kutta pair, any M.
-    - ``"rk4"``: fixed-step classical RK4 walk (step ``rk4_step``) for
-      bitwise-reproducible runs.
 
     Entry 0 never drifts: its velocity is identically zero. At each accepted
     step the equilibrium stop reads the field the solver has just evaluated
@@ -458,40 +445,13 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
         raise ValueError("tol must be positive")
     if method is None:
         method = "lsoda" if weights.M <= DENSE_CAP else "rk45"
-    elif method not in ("rk45", "rk4"):
-        raise ValueError(f"unknown method {method!r}; expected None, 'rk45' or 'rk4'")
+    elif method != "rk45":
+        raise ValueError(f"unknown method {method!r}; expected None or 'rk45'")
     f = lambda th: _rhs_fft(th, spec, weights)
 
-    if np.max(np.abs(f(theta0))) < equilibrium_tol:
+    if np.max(np.abs(f(theta0))) < EQUILIBRIUM_TOL:
         return IntegrationResult(theta=theta0.copy(), t_reached=0.0,
                                  stop_reason="equilibrium", method=method)
-
-    sample_ts = np.linspace(0.0, t_end, n_samples) if n_samples else None
-
-    if method == "rk4":
-        h = rk4_step if rk4_step is not None else t_end / max(1, int(t_end / 0.1))
-        theta = theta0.copy()
-        t = 0.0
-        samples = [] if n_samples else None
-        next_sample = 0
-        while t < t_end - 1e-15:
-            step = min(h, t_end - t)
-            k1 = f(theta)
-            k2 = f(theta + 0.5 * step * k1)
-            k3 = f(theta + 0.5 * step * k2)
-            k4 = f(theta + step * k3)
-            theta = theta + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            theta[0] = 0.0
-            t += step
-            if samples is not None:
-                while next_sample < n_samples and sample_ts[next_sample] <= t:
-                    samples.append((float(sample_ts[next_sample]), theta.copy()))
-                    next_sample += 1
-            if np.max(np.abs(f(theta))) < equilibrium_tol:
-                return IntegrationResult(theta=theta, t_reached=t, stop_reason="equilibrium",
-                                         samples=samples, method=method)
-        return IntegrationResult(theta=theta, t_reached=t, stop_reason="t_end",
-                                 samples=samples, method=method)
 
     last = [None, None]  # the solver's latest (state, field)
 
@@ -502,7 +462,7 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
     def event(t, y):
         # an rk45 step ends where the solver last evaluated the field
         fy = last[1] if np.array_equal(y, last[0]) else f(y)
-        return float(np.max(np.abs(fy)) - equilibrium_tol)
+        return float(np.max(np.abs(fy)) - EQUILIBRIUM_TOL)
 
     event.terminal = True
     event.direction = -1
@@ -517,6 +477,7 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, equilibrium_tol=1e-10,
             return J
 
         options["jac"] = jac
+    sample_ts = np.linspace(0.0, t_end, n_samples) if n_samples else None
     sol = solve_ivp(field, (0.0, t_end), theta0, method=method.upper(),
                     rtol=tol, atol=tol, events=event, t_eval=sample_ts, **options)
     if sol.status == -1:
@@ -542,38 +503,26 @@ class EquilibriumResult:
     theta: np.ndarray
     residual_norm: float
     iterations: int
-    jacobian_leading_eigs: np.ndarray
 
 
-def newton_equilibrium(theta_init, spec, weights, max_iter=50, tol=1e-12,
-                       n_report_eigs=10):
+def newton_equilibrium(theta_init, spec, weights, max_iter=50, tol=1e-12):
     """Damped Newton iteration for an equilibrium of the pinned system.
 
     Steps are halved (at most 30 times) until the residual decreases. Success
-    means ``sup |rhs| < tol``; the result carries the leading Jacobian
-    eigenvalues at the solution for stability reporting (``n_report_eigs=0``
-    skips that eigensolve).
+    means ``sup |rhs| < tol``. The result holds the solution, its residual
+    and the iteration count; its stability is :func:`jacobian_spectrum` at
+    ``result.theta``.
     """
     theta = _check_state(theta_init, weights).copy()
     M = weights.M
     if M > DENSE_CAP:
         raise ResourceLimitError(f"Newton refinement is dense-only; M={M} exceeds {DENSE_CAP}")
     gecon = get_lapack_funcs("gecon", (np.empty((2, 2)),))
-
-    def _finish(res, iteration):
-        if n_report_eigs:
-            eigs_now = jacobian_spectrum(theta, spec, weights, n_eigs=n_report_eigs)
-        else:
-            eigs_now = np.empty(0)
-        return EquilibriumResult(theta=theta, residual_norm=float(res),
-                                 iterations=iteration,
-                                 jacobian_leading_eigs=eigs_now)
-
     F = rhs(theta, spec, weights)
     res = np.max(np.abs(F))
     for iteration in range(max_iter):
         if res < tol:
-            return _finish(res, iteration)
+            return EquilibriumResult(theta=theta, residual_norm=float(res), iterations=iteration)
         J = jacobian(theta, spec, weights)
         lu, piv = lu_factor(J)
         rcond = gecon(lu, np.linalg.norm(J, 1), norm="1")[0]
@@ -600,7 +549,7 @@ def newton_equilibrium(theta_init, spec, weights, max_iter=50, tol=1e-12,
                 iterations=iteration, residual=float(res),
             )
     if res < tol:
-        return _finish(res, max_iter)
+        return EquilibriumResult(theta=theta, residual_norm=float(res), iterations=max_iter)
     raise ConvergenceError(
         f"Newton did not reach tolerance {tol:.1e} in {max_iter} iterations; "
         f"final residual {res:.3e}",

@@ -90,7 +90,7 @@ def test_criterion_04_branch_regression(attractive5, finite_r0a):
     z2 = bifurcation.branch_profile(curve, amp, 2, M)
     weights = ring.build_weights(M, r_m + s0)
     spec = ring.SystemSpec(Params(r_m + s0))
-    eq = ring.newton_equilibrium(z1.values.copy(), spec, weights, n_report_eigs=0)
+    eq = ring.newton_equilibrium(z1.values.copy(), spec, weights)
     assert eq.residual_norm < 1e-10
     err1 = float(np.max(np.abs(eq.theta - z1.values)))
     err2 = float(np.max(np.abs(eq.theta - z2.values)))
@@ -125,7 +125,7 @@ def test_criterion_05_error_order_slopes(attractive5):
         z2 = bifurcation.branch_profile(curve, amp, 2, M)
         weights = ring.build_weights(M, r_m + s)
         spec = ring.SystemSpec(Params(r_m + s))
-        eq = ring.newton_equilibrium(z2.values.copy(), spec, weights, n_report_eigs=0)
+        eq = ring.newton_equilibrium(z2.values.copy(), spec, weights)
         assert eq.residual_norm < 1e-10
         # the iteration must land on the branch, not back on the twisted state
         assert np.max(np.abs(eq.theta - theta)) > amp / 2

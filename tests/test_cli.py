@@ -150,6 +150,22 @@ def test_branch_csv_header(tmp_path):
     assert eq_lines[0] == "index,x,theta"
 
 
+def test_branch_makes_no_eigensolve(tmp_path, monkeypatch):
+    # branch reports Newton's residual and its distances to the profiles,
+    # never a spectrum, so its Newton solve must not pay for one
+    from twistlab import ring
+
+    calls = []
+    spectrum_of = ring.jacobian_spectrum
+    monkeypatch.setattr(ring, "jacobian_spectrum",
+                        lambda *a, **k: calls.append(a) or spectrum_of(*a, **k))
+    code, out = run(["branch", "--q", "5", "--s0=-1e-4", "--M", "200"], tmp_path, "b")
+    assert code == 0
+    res = json.loads((out / "branch.json").read_text())["results"]
+    assert res["newton_residual"] < 1e-12 and res["newton_iterations"] > 0
+    assert calls == []
+
+
 def test_package_import_pins_openblas_to_one_thread_unless_set():
     # LU factorizations round differently on different BLAS thread counts, so
     # without the pin the console script's bytes would follow the core count
@@ -273,6 +289,28 @@ def test_equilibrium_command(tmp_path):
     res = json.loads((out / "equilibrium.json").read_text())["results"]
     assert res["residual_norm"] < 1e-12
     assert len(res["leading_eigenvalues"]) == 10
+
+
+def test_equilibrium_radius_follows_sign(tmp_path):
+    # without --r the ring sits --s0 from the finite threshold of its own sign
+    from twistlab import ring
+
+    code, out = run(["equilibrium", "--M", "200", "--q", "5", "--sign", "repulsive"],
+                    tmp_path, "rep")
+    assert code == 0
+    res = json.loads((out / "equilibrium.json").read_text())["results"]
+    assert res["r"] == ring.finite_threshold(5, 200, ring.REPULSIVE) - 1e-4
+    assert res["r"] == pytest.approx(0.11444, abs=1e-5)
+    # just below the repulsive threshold the twisted state is weakly unstable
+    assert res["iterations"] == 0 and 0.0 < res["leading_eigenvalues"][0] < 1e-3
+
+
+def test_equilibrium_z1_start_needs_attractive_sign_or_r(tmp_path, capsys):
+    # the z1 profile is built on the attractive crossing
+    code, out = run(["equilibrium", "--M", "200", "--q", "5", "--sign", "repulsive",
+                     "--init", "z1"], tmp_path, "z1rep")
+    assert code == 2 and "--init z1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_formats_subset(tmp_path):

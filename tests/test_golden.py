@@ -2,10 +2,12 @@
 
 Each entry holds the SHA-256 of every CSV file a command writes and of its
 canonical JSON ``results`` and ``provenance`` (key-sorted, compact). These
-commands use closed forms and deterministic root finding only, so a change
-that leaves the numerics alone leaves every byte of them alone. The bytes
-were recorded on x86-64 Linux with NumPy 2.4.6; another platform's math
-library may move last digits.
+commands use closed forms and deterministic root finding only (the
+equilibrium entry starts on the twisted state, so Newton takes no step and
+its eigenvalues come in closed form), so a change that leaves the numerics
+alone leaves every byte of them alone. The bytes were recorded on x86-64
+Linux with NumPy 2.4.6; another platform's math library may move last
+digits.
 """
 
 import hashlib
@@ -53,6 +55,10 @@ GOLDEN = {
     "gamma --q 5 --at repulsive-threshold --s0=-1e-5": {
         "gamma.csv": "1cca5bd3c3d7b5a93a3548a03e8a3e55ac9f558ffc78b90f0a6148fe2a31bc0f",
         "results": "804709969be29572cfeced2c8659bb7ce75dd0426f881bf184248269180e18ee",
+    },
+    "equilibrium --M 150 --q 5": {
+        "equilibrium.csv": "a62dbdbd89f6913f125af7f71033ad7f9d380a70400849fe6197fefb299122d8",
+        "results": "1328d841d28ffa91b673e4f72d646a61659585c1a485ba71138a7dcabcd76606",
     },
     "gamma --q 2 --family t-family --r0 0.3 --t=-0.2": {
         "gamma.csv": "959db8e390164fc307e17ec24e936c6035172f98a2af8f11ad5e3acf60875dd3",
