@@ -32,11 +32,6 @@ DEGENERATE = "degenerate"
 S_NEGATIVE = "s_negative"
 S_POSITIVE = "s_positive"
 
-R_LINEAR = "r_linear"
-LAMBDA_LINEAR = "lambda_linear"
-MIXED_LINEAR = "mixed_linear"
-T_FAMILY = "t_family"
-
 
 @dataclass(frozen=True)
 class CurveSpec:
@@ -47,7 +42,6 @@ class CurveSpec:
     construction verifies the crossing to within ``CROSSING_TOL``.
     """
 
-    family: str
     base: Params
     direction: tuple
     q: int
@@ -70,14 +64,7 @@ class CurveSpec:
 
 def linear_curve(q, ell, base, direction):
     """Straight-line curve ``p(s) = base + s * direction`` through a crossing."""
-    direction = tuple(float(d) for d in direction)
-    if direction == (1.0, 0.0, 0.0):
-        family = R_LINEAR
-    elif direction == (0.0, 1.0, 0.0):
-        family = LAMBDA_LINEAR
-    else:
-        family = MIXED_LINEAR
-    return CurveSpec(family=family, base=base, direction=direction, q=q, ell=ell)
+    return CurveSpec(base=base, direction=tuple(float(d) for d in direction), q=q, ell=ell)
 
 
 def t_family_curve(q, r0, t):
@@ -87,9 +74,9 @@ def t_family_curve(q, r0, t):
     strength ``4 lam + 2 mu`` sits at its critical value for every ``t``, so
     the twist-mode eigenvalue crosses zero at ``s = 0`` along the whole family.
     """
-    h = kernel.big_H(q, r0)
+    h = kernel.big_H(q, Params(r0).r)  # an out-of-range r0 is a ValueError, not a degeneracy
     base = Params(r0, h / 4.0 - 2.0 * t, 4.0 * t)
-    return CurveSpec(family=T_FAMILY, base=base, direction=(0.0, 4.0, 2.0), q=q, ell=q)
+    return CurveSpec(base=base, direction=(0.0, 4.0, 2.0), q=q, ell=q)
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,15 @@ from . import __version__, bifurcation, kernel, ring, spectrum
 from .errors import DomainError
 from .kernel import Params
 
+# command -> preset -> the option values it pins
 PRESETS = {
-    "spectrum": ("fig2",),
-    "gamma": ("fig3a", "fig3b"),
-    "stability-map": ("fig4",),
-    "branch": ("fig5",),
-    "simulate": ("fig6",),
-    "iota": ("fig7",),
+    "spectrum": {"fig2": {"q": 5, "lam": 0.0, "mu": 0.0}},
+    "gamma": {"fig3a": {"q_max": 50}, "fig3b": {"q_max": 30}},
+    "stability-map": {"fig4": {"q": 8, "r": "0.05:0.5:128", "lam": "-2:2:128"}},
+    "branch": {"fig5": {"q": 5, "s0": -1e-4, "M": 1000}},
+    "simulate": {"fig6": {"M": 1000, "q": 5, "sign": "repulsive", "s": -1e-5,
+                          "amplitude": 1e-2, "n_runs": 4, "t_end": 2e6}},
+    "iota": {"fig7": {"lo": 0.05, "hi": 3.0, "steps": 300}},
 }
 
 _THRESHOLD_KINDS = {"attractive": spectrum.ATTRACTIVE_R0, "repulsive": spectrum.REPULSIVE_R0,
@@ -44,7 +46,6 @@ class RunConfig:
     output_dir: Path
     seed: int = 0
     formats: tuple = ("csv", "json")
-    gnuplot: bool = False
 
 
 @dataclass
@@ -53,7 +54,6 @@ class ReportEnvelope:
     results: dict
     provenance: list = field(default_factory=list)
     csv_files: dict = field(default_factory=dict)   # name -> (header, rows)
-    gnuplot_script: str = ""
 
 
 def _fmt(x):
@@ -102,13 +102,9 @@ def _build_parser():
                         help="comma subset of {csv,json}; the JSON envelope is always written")
         sp.add_argument("--config", default=None,
                         help="flat key=value config file; overrides the preset, flags override it")
-        sp.add_argument("--gnuplot", action="store_true",
-                        help="also emit a gnuplot script for figure presets")
 
     sp = sub.add_parser("kernel", help="evaluate one kernel-level quantity")
-    sp.add_argument("--name", required=True,
-                    choices=["w-hat", "c1", "c2", "c3", "c4", "c5", "c6", "tail-limit",
-                             "lambda0", "big-h", "cap-x", "iota", "upsilon0"])
+    sp.add_argument("--name", required=True, choices=_KERNEL_QUANTITIES)
     sp.add_argument("--q", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--m", type=int, default=None)
@@ -177,8 +173,6 @@ def _build_parser():
     sp.add_argument("--tol", type=float, default=1e-11)
     sp.add_argument("--amplitude", type=float, default=1e-2)
     sp.add_argument("--n-runs", type=int, default=4)
-    sp.add_argument("--samples", type=int, default=0,
-                    help="also dump N sampled trajectory states per run")
     sp.add_argument("--preset", choices=PRESETS["simulate"], default=None)
     common(sp)
 
@@ -214,18 +208,6 @@ def _build_parser():
     return parser
 
 
-_PRESET_VALUES = {
-    "fig2": {"q": 5, "lam": 0.0, "mu": 0.0},
-    "fig3a": {"q_max": 50},
-    "fig3b": {"q_max": 30},
-    "fig4": {"q": 8, "r": "0.05:0.5:128", "lam": "-2:2:128"},
-    "fig5": {"q": 5, "s0": -1e-4, "M": 1000},
-    "fig6": {"M": 1000, "q": 5, "sign": "repulsive", "s": -1e-5,
-             "amplitude": 1e-2, "n_runs": 4, "t_end": 2e6},
-    "fig7": {"lo": 0.05, "hi": 3.0, "steps": 300},
-}
-
-
 def parse_config(argv):
     """Parse flags into a RunConfig.
 
@@ -252,7 +234,7 @@ def parse_config(argv):
     preset = getattr(ns, "preset", None) or file_values.get("preset")
     if preset or file_values:
         sub = next(a.choices for a in parser._actions if a.dest == "command")[ns.command]
-        sub.set_defaults(**{**_PRESET_VALUES.get(preset, {}), **file_values})
+        sub.set_defaults(**{**PRESETS.get(ns.command, {}).get(preset, {}), **file_values})
         ns = parser.parse_args(argv)
         for action in sub._actions:  # argparse checks choices on flags, not on defaults
             value = getattr(ns, action.dest, None)
@@ -266,49 +248,29 @@ def parse_config(argv):
         parser.error(f"unknown report formats: {', '.join(bad)}")
 
     params = {k: v for k, v in vars(ns).items()
-              if k not in ("out", "seed", "formats", "config", "gnuplot", "command")}
+              if k not in ("out", "seed", "formats", "config", "command")}
     config = RunConfig(
         command=ns.command,
         parameters=params,
         output_dir=Path(ns.out),
         seed=ns.seed,
         formats=formats,
-        gnuplot=ns.gnuplot,
     )
     _validate(config, parser)
     return config
 
 
 def _validate(config, parser):
+    """Flag combinations; the library checks the values themselves."""
     p = config.parameters
-
-    def check_r(val, name="r"):
-        if val is not None and not 0.0 < val <= 0.5:
-            parser.error(f"--{name} must lie in (0, 1/2], got {val}")
-
-    if config.command in ("spectrum", "simulate", "equilibrium"):
-        check_r(p.get("r"))
-    if config.command == "kernel":
-        check_r(p.get("r"))
-        if p["name"] in ("c3", "c4") and p.get("m") is None:
-            parser.error(f"--name {p['name']} requires --m")
     if config.command == "spectrum" and p.get("preset") is None:
         if p.get("q") is None or p.get("r") is None:
             parser.error("spectrum requires --q and --r (or --preset fig2)")
-        if p.get("tol") is not None and p["tol"] <= 0:
-            parser.error("--tol must be positive")
     if config.command == "gamma" and p.get("preset") is None and p.get("q_max") is None:
         if p.get("q") is None:
             parser.error("gamma requires --q (or --preset / --q-max)")
         if p.get("at") is None and p.get("r0") is None:
             parser.error("gamma requires --at or an explicit --r0")
-        check_r(p.get("r0"), "r0")
-    if config.command == "stability-map":
-        try:
-            _parse_range(p["r"])
-            _parse_range(p["lam"])
-        except ValueError as exc:
-            parser.error(str(exc))
     if config.command == "simulate":
         if p.get("r") is None and p.get("s") is None and p.get("preset") is None:
             parser.error("simulate requires --r or --s (or --preset fig6)")
@@ -322,47 +284,33 @@ def _validate(config, parser):
 # command implementations
 
 
+def _coefficient(name):
+    return lambda p, params: kernel.coefficient(name, p["q"], p["k"], params, m=p["m"])
+
+
+# --name -> (evaluation from the flags and their Params, the flags it requires)
+_KERNEL_QUANTITIES = {
+    "w-hat": (lambda p, params: kernel.w_hat(params.r, p["k"]), ("r", "k")),
+    "c1": (lambda p, params: kernel.c1(p["q"], p["k"], params), ("q", "k", "r")),
+    **{name: (_coefficient(name), ("q", "k", "r")) for name in ("c2", "c3", "c4", "c5", "c6")},
+    "tail-limit": (lambda p, params: kernel.tail_limit(p["q"], params), ("q", "r")),
+    "lambda0": (lambda p, params: kernel.lambda0(p["q"], params.r), ("q", "r")),
+    "big-h": (lambda p, params: kernel.big_H(p["q"], params.r), ("q", "r")),
+    "cap-x": (lambda p, params: kernel.cap_X(p["q"], params.r), ("q", "r")),
+    "iota": (lambda p, params: kernel.iota(p["upsilon"]), ("upsilon",)),
+    "upsilon0": (lambda p, params: kernel.upsilon0(), ()),
+}
+
+
 def _run_kernel(cfg):
     p = cfg.parameters
     name = p["name"]
-    params = Params(p["r"], p["lam"], p["mu"]) if p.get("r") is not None else None
-    need = lambda *keys: [k for k in keys if p.get(k) is None]
-
-    if name == "upsilon0":
-        value = kernel.upsilon0()
-    elif name == "iota":
-        if need("upsilon"):
-            raise ValueError("--name iota requires --upsilon")
-        value = kernel.iota(p["upsilon"])
-    elif name == "w-hat":
-        if need("r", "k"):
-            raise ValueError("--name w-hat requires --r and --k")
-        value = kernel.w_hat(p["r"], p["k"])
-    elif name == "tail-limit":
-        if need("q") or params is None:
-            raise ValueError("--name tail-limit requires --q and --r")
-        value = kernel.tail_limit(p["q"], params)
-    elif name == "lambda0":
-        if need("q", "r"):
-            raise ValueError("--name lambda0 requires --q and --r")
-        value = kernel.lambda0(p["q"], p["r"])
-    elif name == "big-h":
-        if need("q", "r"):
-            raise ValueError("--name big-h requires --q and --r")
-        value = kernel.big_H(p["q"], p["r"])
-    elif name == "cap-x":
-        if need("q", "r"):
-            raise ValueError("--name cap-x requires --q and --r")
-        value = kernel.cap_X(p["q"], p["r"])
-    elif name == "c1":
-        if need("q", "k") or params is None:
-            raise ValueError("--name c1 requires --q, --k and --r")
-        value = kernel.c1(p["q"], p["k"], params)
-    else:  # c2..c6
-        if need("q", "k") or params is None:
-            raise ValueError(f"--name {name} requires --q, --k and --r")
-        value = kernel.coefficient(name, p["q"], p["k"], params, m=p.get("m"))
-
+    evaluate, required = _KERNEL_QUANTITIES[name]
+    if any(p[k] is None for k in required):
+        raise ValueError(f"--name {name} requires {', '.join('--' + k for k in required)}")
+    # Params checks the range of --r for every quantity, whether or not it reads r
+    params = Params(p["r"], p["lam"], p["mu"]) if p["r"] is not None else None
+    value = evaluate(p, params)
     results = {"name": name, "value": float(value)}
     csvs = {"kernel": ("name,value", [[name, _fmt(value)]])}
     return results, csvs, []
@@ -616,12 +564,10 @@ def _run_simulate(cfg):
     runs = []
     finals = []
     csvs = {}
-    n_samples = p.get("samples") or 0
     for i in range(p["n_runs"]):
         seed = cfg.seed + i
         theta0 = ring.perturb(base, p["amplitude"], seed)
-        out = ring.integrate(theta0, spec, weights, t_end=p["t_end"], tol=p["tol"],
-                             n_samples=n_samples)
+        out = ring.integrate(theta0, spec, weights, t_end=p["t_end"], tol=p["tol"])
         diff, amps = _mode_amplitudes(out.theta, q)
         dominant = int(np.argmax(amps))
         finals.append(out.theta)
@@ -632,11 +578,6 @@ def _run_simulate(cfg):
             "max_deviation": float(np.max(np.abs(diff))),
         })
         csvs[f"state_run{i}"] = _state_csv(out.theta)
-        if out.samples:
-            rows = []
-            for t, state in out.samples:
-                rows.extend([_fmt(t)] + row for row in _state_csv(state)[1])
-            csvs[f"trajectory_run{i}"] = ("t,index,x,theta", rows)
     shift_relations = []
     for i in range(len(finals)):
         for j in range(i + 1, len(finals)):
@@ -730,37 +671,16 @@ _RUNNERS = {
 }
 
 
-def _gnuplot_for(cfg, csvs):
-    preset = cfg.parameters.get("preset")
-    if not preset or not cfg.gnuplot:
-        return ""
-    name = next(iter(csvs))
-    path = f"{name}.csv"
-    return "\n".join([
-        "set datafile separator ','",
-        f"set title '{preset}'",
-        "set key off",
-        f"plot '{path}' every ::1 using 1:2 with lines",
-        "",
-    ])
-
-
 def execute(config):
     """Dispatch a validated RunConfig to its command implementation."""
     results, csvs, prov = _RUNNERS[config.command](config)
-    return ReportEnvelope(config=config, results=results, provenance=prov,
-                          csv_files=csvs, gnuplot_script=_gnuplot_for(config, csvs))
+    return ReportEnvelope(config=config, results=results, provenance=prov, csv_files=csvs)
 
 
 def _config_echo(cfg):
-    params = {}
-    for k, v in sorted(cfg.parameters.items()):
-        if isinstance(v, Path):
-            v = str(v)
-        params[k] = v
     return {
         "command": cfg.command,
-        "parameters": params,
+        "parameters": cfg.parameters,
         "output_dir": str(cfg.output_dir),
         "seed": cfg.seed,
         "formats": list(cfg.formats),
@@ -790,10 +710,6 @@ def write_report(envelope, output_dir=None):
             lines = [header] + [",".join(row) for row in rows]
             path.write_text("\n".join(lines) + "\n")
             written.append(path)
-    if envelope.gnuplot_script:
-        gp = out / f"{cfg.parameters.get('preset', cfg.command)}.gp"
-        gp.write_text(envelope.gnuplot_script)
-        written.append(gp)
     return written
 
 

@@ -18,12 +18,13 @@ state (circulant linearization, any M), dense eigenvalues of the analytic
 :func:`jacobian` at any other state with ``M <= DENSE_CAP``.
 
 Time integration is adaptive with a terminal stop at the equilibrium
-``sup |rhs| < EQUILIBRIUM_TOL``. It is LSODA for ``M <= DENSE_CAP``: explicit
-Adams steps while the ring is non-stiff, implicit BDF fed the analytic
-:func:`jacobian` once it turns stiff (near a weakly unstable twisted state).
-Above the cap it is an embedded 5(4) Runge-Kutta pair. Damped Newton
-refinement of an equilibrium is dense, up to ``DENSE_CAP``, and only solves:
-callers that want the spectrum at the solution ask :func:`jacobian_spectrum`.
+``sup |rhs| < EQUILIBRIUM_TOL``; the ring size alone picks the method. It is
+LSODA for ``M <= DENSE_CAP``: explicit Adams steps while the ring is
+non-stiff, implicit BDF fed the analytic :func:`jacobian` once it turns stiff
+(near a weakly unstable twisted state). Above the cap it is an embedded 5(4)
+Runge-Kutta pair. Damped Newton refinement of an equilibrium is dense, up to
+``DENSE_CAP``, and only solves: callers that want the spectrum at the
+solution ask :func:`jacobian_spectrum`.
 """
 
 import logging
@@ -67,6 +68,9 @@ _RCOND_LIMIT = 1e-12     # Newton Jacobian reciprocal-condition floor
 
 #: Integration stops once ``sup |rhs|`` falls below this.
 EQUILIBRIUM_TOL = 1e-10
+
+#: Radius resolution of :func:`finite_threshold`.
+THRESHOLD_XTOL = 1e-6
 
 
 @dataclass
@@ -412,28 +416,25 @@ class IntegrationResult:
     theta: np.ndarray
     t_reached: float
     stop_reason: str                      # "equilibrium" or "t_end"
-    samples: Optional[list] = None        # [(t, theta), ...] when requested
-    method: str = ""                      # "lsoda" or "rk45"
+    method: str                           # "lsoda" or "rk45"
 
 
-def integrate(theta0, spec, weights, t_end, tol=1e-11, method=None, n_samples=0):
+def integrate(theta0, spec, weights, t_end, tol=1e-11):
     """Integrate the ring until ``t_end`` or until the state is an equilibrium.
 
-    Both paths are adaptive, with absolute and relative tolerance ``tol`` and
-    a terminal equilibrium stop at ``sup |rhs| < EQUILIBRIUM_TOL``; the
+    The integrator is adaptive, with absolute and relative tolerance ``tol``
+    and a terminal equilibrium stop at ``sup |rhs| < EQUILIBRIUM_TOL``; the
     default ``tol`` sits an order below the stop, so the integrator's error
-    on the field does not keep it from firing. ``n_samples`` samples the
-    trajectory at that many evenly spaced times. The result names the method
-    taken:
+    on the field does not keep it from firing. The ring size picks the
+    method, and the result names it:
 
-    - ``method=None``: for ``M <= DENSE_CAP``, LSODA (Petzold, *SIAM J. Sci.
-      Stat. Comput.* 4, 1983), reported as ``"lsoda"``. It takes explicit
-      Adams steps while they are bounded by accuracy and switches to
-      implicit BDF fed the analytic :func:`jacobian` (zero row and column 0
-      in the solver's M x M frame) when stability bounds them, as near a
-      weakly unstable twisted state, whose pinned spectrum spans several
-      decades. Larger rings take ``"rk45"``.
-    - ``"rk45"``: embedded 5(4) Runge-Kutta pair, any M.
+    - ``M <= DENSE_CAP``: LSODA (Petzold, *SIAM J. Sci. Stat. Comput.* 4,
+      1983), reported as ``"lsoda"``. It takes explicit Adams steps while
+      they are bounded by accuracy and switches to implicit BDF fed the
+      analytic :func:`jacobian` (zero row and column 0 in the solver's M x M
+      frame) when stability bounds them, as near a weakly unstable twisted
+      state, whose pinned spectrum spans several decades.
+    - larger rings: the embedded 5(4) Runge-Kutta pair, ``"rk45"``.
 
     Entry 0 never drifts: its velocity is identically zero. At each accepted
     step the equilibrium stop reads the field the solver has just evaluated
@@ -443,10 +444,7 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, method=None, n_samples=0)
     theta0 = _check_state(theta0, weights)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if method is None:
-        method = "lsoda" if weights.M <= DENSE_CAP else "rk45"
-    elif method != "rk45":
-        raise ValueError(f"unknown method {method!r}; expected None or 'rk45'")
+    method = "lsoda" if weights.M <= DENSE_CAP else "rk45"
     f = lambda th: _rhs_fft(th, spec, weights)
 
     if np.max(np.abs(f(theta0))) < EQUILIBRIUM_TOL:
@@ -477,9 +475,8 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, method=None, n_samples=0)
             return J
 
         options["jac"] = jac
-    sample_ts = np.linspace(0.0, t_end, n_samples) if n_samples else None
     sol = solve_ivp(field, (0.0, t_end), theta0, method=method.upper(),
-                    rtol=tol, atol=tol, events=event, t_eval=sample_ts, **options)
+                    rtol=tol, atol=tol, events=event, **options)
     if sol.status == -1:
         raise StiffnessError(f"integration step failed: {sol.message}",
                              t_reached=float(sol.t[-1]) if len(sol.t) else 0.0)
@@ -491,11 +488,8 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11, method=None, n_samples=0)
         theta = _repin(sol.y[:, -1])
         t_reached = float(sol.t[-1])
         reason = "t_end"
-    samples = None
-    if n_samples:
-        samples = [(float(t), _repin(sol.y[:, i])) for i, t in enumerate(sol.t)]
     return IntegrationResult(theta=theta, t_reached=t_reached, stop_reason=reason,
-                             samples=samples, method=method)
+                             method=method)
 
 
 @dataclass(frozen=True)
@@ -557,13 +551,13 @@ def newton_equilibrium(theta_init, spec, weights, max_iter=50, tol=1e-12):
     )
 
 
-def finite_threshold(q, M, kind=ATTRACTIVE, xtol=1e-6):
+def finite_threshold(q, M, kind=ATTRACTIVE):
     """Finite-size bifurcation radius of the q-twisted state on an M-ring.
 
     Brackets and refines the sign change of the leading eigenvalue of
     :func:`twisted_spectrum` (pairwise coupling with the continuous,
     fractional weights) around the continuum threshold; resolves the radius
-    to ``xtol`` (default 1e-6). Requires M >= 20 q so the profile is resolved.
+    to ``THRESHOLD_XTOL``. Requires M >= 20 q so the profile is resolved.
     """
     if kind not in (ATTRACTIVE, REPULSIVE):
         raise ValueError(f"kind must be {ATTRACTIVE!r} or {REPULSIVE!r}")
@@ -593,4 +587,4 @@ def finite_threshold(q, M, kind=ATTRACTIVE, xtol=1e-6):
             f"leading eigenvalue does not change sign {'above' if up else 'below'} "
             f"r={center:.4f} (q={q}, M={M})"
         )
-    return brentq(g, min(center, r), max(center, r), xtol=xtol)
+    return brentq(g, min(center, r), max(center, r), xtol=THRESHOLD_XTOL)

@@ -29,12 +29,12 @@ def attractive5():
 def test_curve_spec_validation():
     r0 = spectrum.threshold(5, spectrum.ATTRACTIVE_R0)
     with pytest.raises(ValueError):  # not a crossing
-        CurveSpec("r_linear", Params(0.3), (1.0, 0.0, 0.0), q=5, ell=1)
+        CurveSpec(Params(0.3), (1.0, 0.0, 0.0), q=5, ell=1)
     with pytest.raises(ValueError):  # boundary base
-        CurveSpec("r_linear", Params(0.5), (1.0, 0.0, 0.0), q=3, ell=3)
+        CurveSpec(Params(0.5), (1.0, 0.0, 0.0), q=3, ell=3)
     with pytest.raises(ValueError):
-        CurveSpec("r_linear", Params(r0), (1.0, 0.0), q=5, ell=1)
-    CurveSpec("r_linear", Params(r0), (1.0, 0.0, 0.0), q=5, ell=1)
+        CurveSpec(Params(r0), (1.0, 0.0), q=5, ell=1)
+    CurveSpec(Params(r0), (1.0, 0.0, 0.0), q=5, ell=1)
 
 
 def test_gamma_pair_attractive_reference_values(attractive5):

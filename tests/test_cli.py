@@ -40,6 +40,55 @@ def test_kernel_command_missing_m_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+KERNEL_FLAGS = {
+    "w-hat": {"r": "0.25", "k": "3"},
+    "c1": {"q": "5", "k": "2", "r": "0.2"},
+    "c2": {"q": "5", "k": "2", "r": "0.2"},
+    "c3": {"q": "2", "k": "1", "m": "3", "r": "0.3"},
+    "c4": {"q": "2", "k": "1", "m": "3", "r": "0.3"},
+    "c5": {"q": "5", "k": "2", "r": "0.2"},
+    "c6": {"q": "5", "k": "2", "r": "0.2"},
+    "tail-limit": {"q": "5", "r": "0.2"},
+    "lambda0": {"q": "8", "r": "0.3"},
+    "big-h": {"q": "8", "r": "0.3"},
+    "cap-x": {"q": "2", "r": "0.3"},
+    "iota": {"upsilon": "0.5"},
+    "upsilon0": {},
+}
+
+
+def test_kernel_every_name_runs_and_needs_each_of_its_flags(tmp_path):
+    from twistlab import cli
+
+    assert set(KERNEL_FLAGS) == set(cli._KERNEL_QUANTITIES)
+    for name, flags in KERNEL_FLAGS.items():
+        argv = ["kernel", "--name", name]
+        code, out = run(argv + [f"--{k}={v}" for k, v in flags.items()], tmp_path, name)
+        assert code == 0, name
+        assert math.isfinite(json.loads((out / "kernel.json").read_text())["results"]["value"])
+        for missing in flags:
+            rest = [f"--{k}={v}" for k, v in flags.items() if k != missing]
+            code, out = run(argv + rest, tmp_path, f"{name}-no-{missing}")
+            assert code == 2, (name, missing)
+            assert not out.exists()
+
+
+def test_out_of_range_values_are_usage_errors(tmp_path):
+    # the library rejects these; the CLI maps its ValueError to exit 2 before
+    # anything is written
+    for argv in (["kernel", "--name", "w-hat", "--r", "0.7", "--k", "1"],
+                 ["kernel", "--name", "upsilon0", "--r", "0"],
+                 ["spectrum", "--q", "5", "--r", "0.7"],
+                 ["spectrum", "--q", "5", "--r", "0.2", "--tol", "0"],
+                 ["gamma", "--q", "5", "--r0", "0.7"],
+                 ["gamma", "--q", "2", "--family", "t-family", "--r0", "0.75"],
+                 ["simulate", "--M", "100", "--r", "0.7"],
+                 ["equilibrium", "--M", "100", "--r=-0.1"],
+                 ["stability-map", "--r", "0.1:x:5", "--lambda", "0:6:3"]):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2, argv
+        assert not (tmp_path / "o").exists(), argv
+
+
 def test_spectrum_csv_header_and_values(tmp_path):
     code, out = run(["spectrum", "--q", "5", "--r", "0.118", "--tol", "1e-4",
                      "--kmax", "15"], tmp_path, "spec")
@@ -150,6 +199,18 @@ def test_branch_csv_header(tmp_path):
     assert eq_lines[0] == "index,x,theta"
 
 
+def test_branch_error_scaling(tmp_path):
+    code, out = run(["branch", "--q", "5", "--s0=-1e-4", "--M", "200", "--error-scaling"],
+                    tmp_path, "es")
+    assert code == 0
+    lines = (out / "error-scaling.csv").read_text().splitlines()
+    assert lines[0] == "s,a_app,err_z1,err_z2"
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [-1e-5, -3e-5, -1e-4, -3e-4,
+                                                                 -1e-3]
+    res = json.loads((out / "branch.json").read_text())["results"]
+    assert math.isfinite(res["error_slope_z1"]) and math.isfinite(res["error_slope_z2"])
+
+
 def test_branch_makes_no_eigensolve(tmp_path, monkeypatch):
     # branch reports Newton's residual and its distances to the profiles,
     # never a spectrum, so its Newton solve must not pay for one
@@ -223,17 +284,23 @@ def test_config_file_merge_and_unknown_keys(tmp_path):
 
     # built-in defaults < preset < config file < explicit flags
     layered = tmp_path / "layered.conf"
-    layered.write_text("steps = 7\nhi = 2.0\ngnuplot = true\n")
+    layered.write_text("steps = 7\nhi = 2.0\n")
     cfg = parse_config(["iota", "--preset", "fig7", "--config", str(layered),
                         "--to", "1.5", "--out", str(tmp_path / "x")])
     assert cfg.parameters == {"lo": 0.05, "hi": 1.5, "steps": 7, "preset": "fig7"}
-    assert cfg.gnuplot is True
     cfg = parse_config(["iota", "--config", str(layered), "--out", str(tmp_path / "x")])
     assert cfg.parameters == {"lo": 0.3, "hi": 2.0, "steps": 7, "preset": None}
     preset_file = tmp_path / "preset.conf"
     preset_file.write_text("preset = fig7\nsteps = 9\n")
     cfg = parse_config(["iota", "--config", str(preset_file), "--out", str(tmp_path / "x")])
     assert cfg.parameters == {"lo": 0.05, "hi": 3.0, "steps": 9, "preset": "fig7"}
+
+    # a boolean flag takes a truthy word from the file
+    flags = tmp_path / "flags.conf"
+    flags.write_text("error_scaling = true\n")
+    cfg = parse_config(["branch", "--config", str(flags), "--out", str(tmp_path / "x")])
+    assert cfg.parameters["error_scaling"] is True
+    assert parse_config(["branch", "--out", str(tmp_path / "x")]).parameters["error_scaling"] is False
 
     bad = tmp_path / "bad.conf"
     bad.write_text("nonsense = 1\n")
@@ -320,14 +387,6 @@ def test_formats_subset(tmp_path):
     assert not (out / "kernel.csv").exists()
     assert main(["kernel", "--name", "upsilon0", "--formats", "yaml",
                  "--out", str(tmp_path / "bad")]) == 2
-
-
-def test_gnuplot_script_emission(tmp_path):
-    code, out = run(["iota", "--preset", "fig7", "--steps", "32", "--gnuplot"],
-                    tmp_path, "gp")
-    assert code == 0
-    assert (out / "fig7.gp").exists()
-    assert "plot" in (out / "fig7.gp").read_text()
 
 
 def test_spectrum_preset_fig2(tmp_path):

@@ -397,6 +397,15 @@ def _attractive_relaxation_case():
     return spec, w, perturb(twisted_state(M, q), 1e-4, seed=12)
 
 
+def _integrate_rk45(theta0, spec, weights, **kwargs):
+    """``integrate`` on the rk45 path, which rings above ``DENSE_CAP`` take."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "DENSE_CAP", 0)
+        out = integrate(theta0, spec, weights, **kwargs)
+    assert out.method == "rk45"
+    return out
+
+
 def test_integrate_stop_reads_the_solvers_field_at_accepted_steps(monkeypatch):
     # rk45: beyond the solver's own evaluations, integrate evaluates the field
     # once up front, once for the stop at t = 0 and at most once per
@@ -404,12 +413,12 @@ def test_integrate_stop_reads_the_solvers_field_at_accepted_steps(monkeypatch):
     counts, solver = _count_integrate_calls(monkeypatch)
     spec, w, theta0 = _attractive_relaxation_case()
 
-    out = integrate(theta0, spec, w, t_end=5.0, tol=1e-10, method="rk45")
+    out = _integrate_rk45(theta0, spec, w, t_end=5.0, tol=1e-10)
     assert out.stop_reason == "t_end" and counts["root"] == 0
     assert counts["rhs"] == solver[-1].nfev + 2
 
     counts.update(rhs=0, root=0)
-    out = integrate(theta0, spec, w, t_end=1e7, tol=1e-10, method="rk45")
+    out = _integrate_rk45(theta0, spec, w, t_end=1e7, tol=1e-10)
     steps = len(solver[-1].t) - 1
     assert out.stop_reason == "equilibrium" and 0 < counts["root"] < steps
     assert solver[-1].nfev + 2 <= counts["rhs"] <= solver[-1].nfev + 2 + counts["root"]
@@ -437,7 +446,7 @@ def test_integrate_default_matches_rk45():
     # the twisted state, so the two stopping states agree to 1e-6
     spec, w, theta0 = _attractive_relaxation_case()
     a = integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
-    b = integrate(theta0, spec, w, t_end=1e7, tol=1e-10, method="rk45")
+    b = _integrate_rk45(theta0, spec, w, t_end=1e7, tol=1e-10)
     assert (a.method, a.stop_reason, b.stop_reason) == ("lsoda", "equilibrium", "equilibrium")
     assert np.max(np.abs(a.theta - b.theta)) < 1e-6
     # short repulsive run past the finite threshold, to a fixed end time: both
@@ -448,7 +457,7 @@ def test_integrate_default_matches_rk45():
     assert twisted_spectrum(q, spec, w)[0] > 0.0
     theta0 = perturb(twisted_state(M, q), 1e-2, seed=3)
     a = integrate(theta0, spec, w, t_end=50.0)
-    b = integrate(theta0, spec, w, t_end=50.0, method="rk45")
+    b = _integrate_rk45(theta0, spec, w, t_end=50.0)
     assert (a.method, a.stop_reason, b.stop_reason) == ("lsoda", "t_end", "t_end")
     assert np.max(np.abs(a.theta - b.theta)) < 1e-8
 
@@ -483,13 +492,6 @@ def test_integrate_method_follows_dense_cap(monkeypatch):
     out = integrate(perturb(twisted_state(60, 2), 1e-3, seed=1), SystemSpec(p),
                     build_weights(60, p.r), t_end=1e-3)
     assert out.method == "lsoda" and calls[-1] == ("LSODA", True)
-
-
-def test_integrate_rejects_unknown_method():
-    p = Params(0.23)
-    theta0 = perturb(twisted_state(40, 2), 0.3, seed=4)
-    with pytest.raises(ValueError, match=r"expected None or 'rk45'"):
-        integrate(theta0, SystemSpec(p), build_weights(40, p.r), t_end=2.0, method="rk4")
 
 
 def test_newton_from_twisted_state_is_immediate():
