@@ -6,8 +6,15 @@ Modules:
     bifurcation -- pitchfork coefficients, branch approximations, stability maps
     ring        -- finite-ring dynamics, FFT right-hand sides, solvers
     cli         -- command-line front end
+
+The closed forms (``kernel``, ``spectrum``, ``bifurcation``) need only numpy.
+``ring`` needs scipy's integrators and LU routines, so it loads on first use:
+``twistlab.ring``, or any of the finite-ring names re-exported here
+(``integrate``, ``SystemSpec``, ...), imports it then. A process that never
+touches the finite ring never imports scipy.
 """
 
+import importlib
 import os
 
 # One OpenBLAS thread unless the caller chose a count: the LU factorizations of
@@ -16,7 +23,7 @@ import os
 # console script does.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import bifurcation, errors, kernel, ring, spectrum
+from . import bifurcation, errors, kernel, spectrum
 from .bifurcation import (
     BifurcationReport,
     BranchProfile,
@@ -31,23 +38,25 @@ from .bifurcation import (
     t_family_curve,
 )
 from .kernel import Params, big_H, c1, cap_X, coefficient, iota, lambda0, tail_limit, upsilon0, w_hat, w_kernel
-from .ring import (
-    CouplingWeights,
-    EquilibriumResult,
-    IntegrationResult,
-    SystemSpec,
-    build_weights,
-    finite_threshold,
-    integrate,
-    jacobian,
-    jacobian_spectrum,
-    newton_equilibrium,
-    perturb,
-    rhs,
-    symmetry_shift,
-    twisted_spectrum,
-    twisted_state,
-)
 from .spectrum import SpectrumReport, alt_eigenvalue, kappa, spectrum_report, sufficient_condition, threshold
 
 __version__ = "0.1.0"
+
+#: Names of ``ring`` the package re-exports; ``ring`` and scipy load on first use.
+_RING_NAMES = frozenset({
+    "CouplingWeights", "EquilibriumResult", "IntegrationResult", "SystemSpec", "build_weights",
+    "finite_threshold", "integrate", "jacobian", "jacobian_spectrum", "newton_equilibrium",
+    "perturb", "rhs", "symmetry_shift", "twisted_spectrum", "twisted_state",
+})
+
+
+def __getattr__(name):
+    if name == "ring" or name in _RING_NAMES:
+        # import_module, not ``from . import ring``: that asks this hook for ``ring``
+        ring = importlib.import_module(f"{__name__}.ring")
+        return ring if name == "ring" else getattr(ring, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | {"ring"} | _RING_NAMES)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import kernel, spectrum
 from .errors import BranchAbsentError, DomainError, SecondHarmonicResonanceError
@@ -244,8 +243,8 @@ def stability_column(q, r, lambda_values, tol=1e-4):
     if len(flips) == 0:
         return sup, None, None
     j = int(flips[0])
-    lam_c = brentq(lambda lam: m0 - lam * wq,
-                   lambda_values[j], lambda_values[j + 1], xtol=1e-12)
+    lam_c = kernel._brentq(lambda lam: m0 - lam * wq,
+                           lambda_values[j], lambda_values[j + 1], xtol=1e-12)
     try:
         curve = linear_curve(q, ell, Params(min(r, 0.5 - 1e-12), lam_c, 0.0), (0.0, 1.0, 0.0))
         rep = gamma_pair(curve, kappa_tol=tol)

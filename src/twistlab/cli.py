@@ -2,7 +2,8 @@
 
 Every run writes a JSON envelope (schema 1) echoing the full configuration,
 plus fixed-schema CSV files per command. Deterministic commands produce
-byte-identical outputs for identical configurations.
+byte-identical outputs for identical configurations. The finite-ring layer,
+and with it scipy, is imported only inside the commands that use it.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bifurcation, kernel, ring, spectrum
+from . import __version__, bifurcation, kernel, spectrum
 from .errors import DomainError
 from .kernel import Params
 
@@ -358,6 +359,8 @@ def _run_thresholds(cfg):
     kind = p["kind"]
     prov = []
     if p.get("M"):
+        from . import ring
+
         if kind not in (ring.ATTRACTIVE, ring.REPULSIVE):
             raise ValueError(f"--M takes --kind attractive or repulsive; "
                              f"there is no finite-ring {kind}")
@@ -472,6 +475,8 @@ def _threshold_report(q, kind):
 
 def _branch_errors(curve, amp, r, M):
     """Newton equilibrium at r from the order-1 profile, and its distances to both orders."""
+    from . import ring
+
     z1 = bifurcation.branch_profile(curve, amp, 1, M).values
     z2 = bifurcation.branch_profile(curve, amp, 2, M).values
     eq = ring.newton_equilibrium(z1, ring.SystemSpec(Params(r)), ring.build_weights(M, r))
@@ -479,6 +484,8 @@ def _branch_errors(curve, amp, r, M):
 
 
 def _run_branch(cfg):
+    from . import ring
+
     p = cfg.parameters
     q, s0, M = p["q"], p["s0"], p["M"]
     grid = p.get("grid_size") or M
@@ -535,6 +542,8 @@ def _state_csv(theta):
 
 def _mode_amplitudes(theta, q):
     """Fourier amplitudes of the deviation from the q-twisted profile."""
+    from . import ring
+
     M = len(theta)
     diff = ring.wrap_to_pi(theta - ring.twisted_state(M, q))
     spec = np.abs(np.fft.rfft(diff)) * 2.0 / M
@@ -547,11 +556,15 @@ def _ring_radius(p, offset):
     threshold ``r_m`` of ``--sign``."""
     if p.get("r") is not None:
         return p["r"], None
+    from . import ring
+
     r_m = ring.finite_threshold(p["q"], p["M"], p["sign"])
     return r_m + offset, r_m
 
 
 def _run_simulate(cfg):
+    from . import ring
+
     p = cfg.parameters
     M, q = p["M"], p["q"]
     prov = []
@@ -599,6 +612,8 @@ def _run_simulate(cfg):
 
 
 def _run_equilibrium(cfg):
+    from . import ring
+
     p = cfg.parameters
     M, q = p["M"], p["q"]
     r, _ = _ring_radius(p, p["s0"])

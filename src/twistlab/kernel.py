@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateKernelError, SingularPointError
 
@@ -60,18 +59,24 @@ def w_hat(r, k):
     """Cosine-series coefficient of the indicator kernel at integer mode ``k``.
 
     ``4r`` at ``k = 0`` and ``2 sin(2 pi k r) / (pi k)`` otherwise; even in
-    ``k``. Accepts scalar or integer-array ``k``.
+    ``k``. Accepts scalar or integer-array ``k``, and a scalar ``r`` or an
+    array of radii broadcast against ``k``.
     """
     k = np.asarray(k)
+    radii = isinstance(r, np.ndarray) and r.ndim > 0
+    if radii:  # one value per radius, the modes broadcast against them
+        k, r = np.broadcast_arrays(k, r)
+        r = r.reshape(-1)
     out = np.empty(k.shape)
     flat_k, flat_out = k.reshape(-1), out.reshape(-1)
     for a in range(0, k.size, _BLOCK):  # in place, block by block
         kb, ob = flat_k[a:a + _BLOCK], flat_out[a:a + _BLOCK]
-        np.multiply(TWO_PI * kb, r, out=ob)
+        rb = r[a:a + _BLOCK] if radii else r
+        np.multiply(TWO_PI * kb, rb, out=ob)
         np.sin(ob, out=ob)
         ob *= 2.0
         np.divide(ob, math.pi * kb, out=ob, where=kb != 0)
-        ob[kb == 0] = 4.0 * r
+        np.copyto(ob, 4.0 * rb, where=kb == 0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -103,9 +108,17 @@ def _twisted_c1(W, q, k, lam, mu):
     """Twisted-state eigenvalues for kernel coefficients ``W(j)``: continuum or lattice.
 
     ``0.25 * (W(q - k) + W(q + k)) - 0.25 * (2 + 4 lam + 2 mu) * W(q)``, with
-    array ``k`` swept in place, block by block.
+    array ``k`` swept in place, block by block. When ``W`` returns an array
+    for one mode (one value per radius), ``k`` is a scalar and the same
+    operations run over that array.
     """
     shift = 0.25 * (2.0 + 4.0 * lam + 2.0 * mu) * W(q)
+    if isinstance(shift, np.ndarray):
+        out = W(q - k)
+        out += W(q + k)
+        out *= 0.25
+        out -= shift
+        return out
     out = np.empty(np.shape(k))
     flat_k, flat_out = np.ravel(k), out.reshape(-1)
     for a in range(0, flat_k.size, _BLOCK):
@@ -258,6 +271,66 @@ def cap_X(q, r):
 def upsilon0():
     """Root of ``2 = 2 pi u - sin(2 pi u)``; threshold product ``q r`` for positivity of iota."""
     f = lambda u: 2.0 - TWO_PI * u + math.sin(TWO_PI * u)
-    root = brentq(f, 0.25, 0.7, xtol=1e-15, rtol=8.9e-16)
+    root = _brentq(f, 0.25, 0.7, xtol=1e-15, rtol=8.9e-16)
     assert abs(f(root)) < 1e-12
     return root
+
+
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, a, b, xtol=2e-12, rtol=4.0 * np.finfo(float).eps):
+    """Root of ``f`` in the bracket ``[a, b]`` by Brent's method (Brent 1973, ch. 4).
+
+    Takes the same steps as the C ``brentq`` of ``scipy.optimize`` and so
+    returns the same bits: ``f(a)`` and ``f(b)`` must differ in sign (sign
+    bit), the root is resolved to ``(xtol + rtol |x|) / 2`` on each side,
+    and each step is an inverse quadratic (or secant) one when it is short
+    enough, else a bisection. Raises ValueError for ends of one sign or a
+    NaN value, RuntimeError after ``_BRENT_MAXITER`` iterations.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x:.6g} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best iterate in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # an infinite step fails the test below: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic through the three points
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0.0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} iterations, value is {xcur!r}")

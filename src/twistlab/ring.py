@@ -25,6 +25,12 @@ non-stiff, implicit BDF fed the analytic :func:`jacobian` once it turns stiff
 Runge-Kutta pair. Damped Newton refinement of an equilibrium is dense, up to
 ``DENSE_CAP``, and only solves: callers that want the spectrum at the
 solution ask :func:`jacobian_spectrum`.
+
+This is the one module that needs scipy (``solve_ivp`` and the LU routines),
+and it imports it at module level. The package imports this module on first
+use of ``twistlab.ring`` or of a finite-ring name it re-exports, so work on
+the closed forms alone never loads scipy. Finite thresholds are refined by
+the package's own Brent solver, ``kernel._brentq``.
 """
 
 import logging
@@ -36,7 +42,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg import get_lapack_funcs
-from scipy.optimize import brentq
 
 from . import kernel, spectrum
 from .errors import (
@@ -587,4 +592,4 @@ def finite_threshold(q, M, kind=ATTRACTIVE):
             f"leading eigenvalue does not change sign {'above' if up else 'below'} "
             f"r={center:.4f} (q={q}, M={M})"
         )
-    return brentq(g, min(center, r), max(center, r), xtol=THRESHOLD_XTOL)
+    return kernel._brentq(g, min(center, r), max(center, r), xtol=THRESHOLD_XTOL)

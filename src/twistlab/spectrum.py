@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import kernel
 from .errors import NoBifurcationError, NoThresholdError
@@ -195,7 +194,8 @@ def _scan_first_sign_change(f, r_grid):
 def threshold(q, kind):
     """Threshold coupling radii of the pairwise-only system.
 
-    ``attractive_r0``: first zero crossing of the mode-1 eigenvalue from below.
+    ``attractive_r0``: first zero crossing of the mode-1 eigenvalue from below;
+    the mode-1 eigenvalue is swept over the whole scan grid of radii at once.
     ``repulsive_r0``: lower edge of the radius window on which every eigenvalue
     is positive (requires ``q >= 2``).
     ``r_star``: radius past which the leading mode is the twist mode itself,
@@ -209,15 +209,17 @@ def threshold(q, kind):
     if q < 1:
         raise ValueError("twist number q must be a positive integer")
     if kind == ATTRACTIVE_R0:
-        p_of = lambda r: Params(r, 0.0, 0.0)
-        f = lambda r: kernel.c1(q, 1, p_of(r))
+        f = lambda r: kernel.c1(q, 1, Params(r, 0.0, 0.0))
         grid = np.arange(_SCAN_STEP, 0.5 + _SCAN_STEP / 2, _SCAN_STEP)
-        if f(grid[0]) > 0.0:  # crossing below the first grid point (very large q)
-            return brentq(f, 1e-9, grid[0], xtol=_REFINE_XTOL)
-        i = _scan_first_sign_change(f, grid)
-        if i is None:
+        # c1's arithmetic at lam = mu = 0, over the whole grid in one sweep
+        values = kernel._twisted_c1(lambda j: kernel.w_hat(grid, j), q, 1, 0.0, 0.0)
+        if values[0] > 0.0:  # crossing below the first grid point (very large q)
+            return kernel._brentq(f, 1e-9, grid[0], xtol=_REFINE_XTOL)
+        ups = np.nonzero((values[:-1] <= 0.0) & (values[1:] > 0.0))[0]
+        if len(ups) == 0:
             raise NoThresholdError(f"mode-1 eigenvalue never becomes positive for q={q}")
-        return brentq(f, grid[i - 1], grid[i], xtol=_REFINE_XTOL)
+        i = ups[0] + 1
+        return kernel._brentq(f, grid[i - 1], grid[i], xtol=_REFINE_XTOL)
 
     ceiling = mode_cutoff(q, 1e-6)
     if kind == REPULSIVE_R0:
@@ -240,7 +242,7 @@ def threshold(q, kind):
         if i is None:
             raise NoThresholdError(f"no radius window with all-positive eigenvalues for q={q}")
         lowest = lambda r: certified_extreme(q, Params(r, 0.0, 0.0), lowest=True)[0]
-        return brentq(lowest, grid[i - 1], grid[i], xtol=_REFINE_XTOL)
+        return kernel._brentq(lowest, grid[i - 1], grid[i], xtol=_REFINE_XTOL)
 
     if kind == R_STAR:
 

@@ -244,6 +244,39 @@ def test_package_import_pins_openblas_to_one_thread_unless_set():
         assert out.stdout.strip() == expected
 
 
+_IMPORT_PATH_SCRIPT = """
+import sys
+import twistlab, twistlab.cli
+from twistlab import cli
+
+scipy_loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+out = sys.argv[1]
+assert cli.main(["thresholds", "--q", "5", "--kind", "attractive", "--out", out + "/a"]) == 0
+assert cli.main(["gamma", "--preset", "fig3a", "--out", out + "/b"]) == 0
+assert scipy_loaded() == [], scipy_loaded()[:5]
+from twistlab import SystemSpec, integrate
+assert twistlab.integrate is twistlab.ring.integrate and "integrate" in dir(twistlab)
+assert hasattr(twistlab.ring, "solve_ivp")
+assert cli.main(["thresholds", "--q", "5", "--kind", "attractive", "--M", "200",
+                 "--out", out + "/c"]) == 0
+assert "scipy" in scipy_loaded()
+print("ok")
+"""
+
+
+def test_closed_form_commands_import_no_scipy(tmp_path):
+    # the closed forms need only numpy; the finite-ring layer, and scipy with
+    # it, loads when a finite-ring name is first used. A fresh interpreter, so
+    # no other test's imports count.
+    import twistlab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(twistlab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PATH_SCRIPT, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split()[-1] == "ok"
+
+
 def test_stability_map_rerun_is_byte_identical(tmp_path):
     args = ["stability-map", "--q", "8", "--r", "0.2:0.4:6", "--lambda", "0:6:9",
             "--tol", "1e-3"]

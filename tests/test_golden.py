@@ -5,7 +5,9 @@ canonical JSON ``results`` and ``provenance`` (key-sorted, compact). These
 commands use closed forms and deterministic root finding only (the
 equilibrium entry starts on the twisted state, so Newton takes no step and
 its eigenvalues come in closed form), so a change that leaves the numerics
-alone leaves every byte of them alone. The bytes were recorded on x86-64
+alone leaves every byte of them alone. The roots the package's Brent
+solver finds outside these commands (finite-ring thresholds and upsilon0)
+are pinned by their ``float.hex`` digits. The bytes were recorded on x86-64
 Linux with NumPy 2.4.6; another platform's math library may move last
 digits.
 """
@@ -80,3 +82,27 @@ def test_closed_form_outputs_match_golden_hashes(command, tmp_path):
     canonical = {"results": payload["results"], "provenance": payload["provenance"]}
     got["results"] = _sha256(json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode())
     assert got == GOLDEN[command]
+
+
+#: Roots found by the Brent port outside the golden commands, as float.hex:
+#: finite-ring thresholds ``(q, M, kind)`` and upsilon0.
+GOLDEN_ROOTS = {
+    (5, 1000, "attractive"): "0x1.0d987be6bb906p-4",
+    (5, 1000, "repulsive"): "0x1.dd570906ab516p-4",
+    (3, 200, "repulsive"): "0x1.82e5812c8cc5dp-3",
+    (8, 400, "attractive"): "0x1.492d28d7744c4p-5",
+}
+GOLDEN_UPSILON0 = "0x1.a044ebb182505p-2"
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_ROOTS))
+def test_finite_thresholds_match_golden_bits(args):
+    from twistlab.ring import finite_threshold
+
+    assert finite_threshold(*args).hex() == GOLDEN_ROOTS[args]
+
+
+def test_upsilon0_matches_golden_bits():
+    from twistlab.kernel import upsilon0
+
+    assert upsilon0().hex() == GOLDEN_UPSILON0

@@ -87,6 +87,17 @@ def test_c1_vectorized_matches_scalar():
         assert v == pytest.approx(c1(4, int(k), p), abs=1e-15)
 
 
+def test_twisted_c1_over_an_array_of_radii_equals_scalar_c1_bitwise():
+    # the attractive threshold scan sweeps its whole radius grid in one call;
+    # the scalar c1 calls it replaced are the reference, bit for bit
+    grid = np.arange(1e-3, 0.5 + 5e-4, 1e-3)
+    for q, k, lam, mu in ((1, 1, 0.0, 0.0), (2, 1, 0.0, 0.0), (5, 1, 0.0, 0.0),
+                          (50, 1, 0.0, 0.0), (3, 4, 0.3, -0.2)):
+        swept = kernel._twisted_c1(lambda j: w_hat(grid, j), q, k, lam, mu)
+        loop = np.array([c1(q, k, Params(float(r), lam, mu)) for r in grid])
+        assert np.array_equal(swept.view(np.int64), loop.view(np.int64)), q
+
+
 def test_w_hat_and_c1_long_and_irregular_mode_lists_match_closed_form():
     # w_hat and c1 sweep several blocks; dense lists take c1's |j| table, sparse ones do not
     rng = np.random.default_rng(3)
@@ -327,3 +338,67 @@ def test_iota_matches_helper_composition():
     points = [0.5 * k + off for k in range(24) for off in (0.11, 0.26, 0.39)]
     for v in points:
         assert iota(v) == pytest.approx(comp(v), rel=1e-10, abs=1e-12)
+
+
+_BRENT_FUNCTIONS = (
+    lambda x: x**3 - 2.0 * x - 5.0,
+    lambda x: math.cos(x) - x,
+    lambda x: math.exp(x) - 2.0,
+    lambda x: math.tanh(10.0 * (x - 0.3)),
+    lambda x: (x - 0.7) ** 5,                       # flat at its root: many bisections
+    lambda x: math.floor(8.0 * x) - 3.5 + 1e-3 * x,  # no zero: the sign flips at a jump
+    lambda x: 2.0 - TWO_PI * x + math.sin(TWO_PI * x),
+)
+
+
+def _outcome(solver, *args, **kwargs):
+    """The root's hex digits, or the type of the exception the solver raised."""
+    try:
+        return solver(*args, **kwargs).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def test_brentq_port_is_bitwise_equal_to_scipy():
+    # scipy's brentq only as the oracle: the program's root finder is the port
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(7)
+    roots = 0
+    for f in _BRENT_FUNCTIONS:
+        for _ in range(100):
+            a, b = sorted(rng.uniform(-3.0, 3.0, size=2))
+            if math.copysign(1.0, f(a)) == math.copysign(1.0, f(b)):
+                continue
+            xtol = 10.0 ** rng.uniform(-15.0, -6.0)
+            for rtol in (4.0 * np.finfo(float).eps, 8.9e-16):
+                for lo, hi in ((a, b), (b, a)):
+                    got = _outcome(kernel._brentq, f, lo, hi, xtol=xtol, rtol=rtol)
+                    assert got == _outcome(brentq, f, lo, hi, xtol=xtol, rtol=rtol), (lo, hi)
+                    roots += isinstance(got, str)
+    assert roots >= 1000
+
+
+def test_brentq_port_endpoint_roots_and_errors_match_scipy(monkeypatch):
+    from scipy.optimize import brentq
+
+    f = lambda x: x - 1.0
+    for lo, hi in ((1.0, 2.0), (0.0, 1.0)):
+        assert kernel._brentq(f, lo, hi) == brentq(f, lo, hi) == 1.0
+    nan_inside = lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5
+    cases = [
+        (lambda x: x * x + 1.0, -1.0, 1.0),  # ends of one sign
+        (nan_inside, 0.0, 1.0),              # NaN at an iterate
+        (lambda x: math.nan, 0.0, 1.0),      # NaN at an end
+    ]
+    for args in cases:
+        with pytest.raises(ValueError):
+            brentq(*args)
+        with pytest.raises(ValueError):
+            kernel._brentq(*args)
+    # out of iterations
+    with pytest.raises(RuntimeError):
+        brentq(math.cos, 1.0, 2.0, maxiter=2)
+    monkeypatch.setattr(kernel, "_BRENT_MAXITER", 2)
+    with pytest.raises(RuntimeError):
+        kernel._brentq(math.cos, 1.0, 2.0)
