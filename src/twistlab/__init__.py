@@ -29,7 +29,6 @@ from .bifurcation import (
     BranchProfile,
     CurveSpec,
     a_app,
-    branch_eigenvalue_prediction,
     branch_profile,
     gamma1_t,
     gamma_pair,
@@ -37,7 +36,7 @@ from .bifurcation import (
     stability_map,
     t_family_curve,
 )
-from .kernel import Params, big_H, c1, cap_X, coefficient, iota, lambda0, tail_limit, upsilon0, w_hat, w_kernel
+from .kernel import Params, big_H, c1, cap_X, iota, lambda0, tail_limit, upsilon0, w_hat
 from .spectrum import SpectrumReport, alt_eigenvalue, kappa, spectrum_report, sufficient_condition, threshold
 
 __version__ = "0.1.0"

@@ -190,11 +190,6 @@ def branch_profile(curve, a, order, grid_size):
                          z2_coefficient=z2_coef, x=x, values=values)
 
 
-def branch_eigenvalue_prediction(report, a):
-    """Second-order prediction of the critical eigenvalue along the branch: ``2 gamma1 a^2``."""
-    return 2.0 * report.gamma1 * a * a
-
-
 @dataclass(frozen=True)
 class BoundaryPoint:
     """One point of the zero contour of the leading eigenvalue in the (r, lam) plane."""

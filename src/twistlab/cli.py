@@ -155,7 +155,6 @@ def _build_parser():
     sp.add_argument("--q", type=int, default=5)
     sp.add_argument("--s0", type=float, default=-1e-4)
     sp.add_argument("--M", type=int, default=1000)
-    sp.add_argument("--grid-size", type=int, default=None, help="profile grid (default: M)")
     sp.add_argument("--error-scaling", action="store_true",
                     help="sweep s over decades and report error slopes")
     sp.add_argument("--preset", choices=PRESETS["branch"], default=None)
@@ -267,6 +266,8 @@ def _validate(config, parser):
     if config.command == "spectrum" and p.get("preset") is None:
         if p.get("q") is None or p.get("r") is None:
             parser.error("spectrum requires --q and --r (or --preset fig2)")
+    if config.command == "gamma" and p.get("q_max") is not None and p["q_max"] < 2:
+        parser.error("--q-max must be at least 2")
     if config.command == "gamma" and p.get("preset") is None and p.get("q_max") is None:
         if p.get("q") is None:
             parser.error("gamma requires --q (or --preset / --q-max)")
@@ -285,15 +286,15 @@ def _validate(config, parser):
 # command implementations
 
 
-def _coefficient(name):
-    return lambda p, params: kernel.coefficient(name, p["q"], p["k"], params, m=p["m"])
-
-
 # --name -> (evaluation from the flags and their Params, the flags it requires)
 _KERNEL_QUANTITIES = {
     "w-hat": (lambda p, params: kernel.w_hat(params.r, p["k"]), ("r", "k")),
     "c1": (lambda p, params: kernel.c1(p["q"], p["k"], params), ("q", "k", "r")),
-    **{name: (_coefficient(name), ("q", "k", "r")) for name in ("c2", "c3", "c4", "c5", "c6")},
+    "c2": (lambda p, params: kernel.c2(p["q"], p["k"], params), ("q", "k", "r")),
+    "c3": (lambda p, params: kernel.c3(p["q"], p["m"], p["k"], params), ("q", "k", "m", "r")),
+    "c4": (lambda p, params: kernel.c4(p["q"], p["m"], p["k"], params), ("q", "k", "m", "r")),
+    "c5": (lambda p, params: kernel.c5(p["q"], p["k"], params), ("q", "k", "r")),
+    "c6": (lambda p, params: kernel.c6(p["q"], p["k"], params), ("q", "k", "r")),
     "tail-limit": (lambda p, params: kernel.tail_limit(p["q"], params), ("q", "r")),
     "lambda0": (lambda p, params: kernel.lambda0(p["q"], params.r), ("q", "r")),
     "big-h": (lambda p, params: kernel.big_H(p["q"], params.r), ("q", "r")),
@@ -361,9 +362,6 @@ def _run_thresholds(cfg):
     if p.get("M"):
         from . import ring
 
-        if kind not in (ring.ATTRACTIVE, ring.REPULSIVE):
-            raise ValueError(f"--M takes --kind attractive or repulsive; "
-                             f"there is no finite-ring {kind}")
         value = ring.finite_threshold(p["q"], p["M"], kind)
         label = f"{kind}_finite_M{p['M']}"
     else:
@@ -416,10 +414,9 @@ def _run_gamma(cfg):
     p = cfg.parameters
     prov = []
     preset = p.get("preset")
-    if preset in ("fig3a", "fig3b") or p.get("q_max"):
+    if p.get("q_max"):  # a gamma preset always sets it
         kind = "repulsive" if preset == "fig3b" else "attractive"
-        q_max = p.get("q_max") or (30 if kind == "repulsive" else 50)
-        qs = list(range(2, q_max + 1))
+        qs = list(range(2, p["q_max"] + 1))
         rows = []
         for q in qs:
             curve, report = _threshold_report(q, _THRESHOLD_KINDS[kind])
@@ -474,13 +471,13 @@ def _threshold_report(q, kind):
 
 
 def _branch_errors(curve, amp, r, M):
-    """Newton equilibrium at r from the order-1 profile, and its distances to both orders."""
+    """Order-1 and order-2 profiles on the M-grid, the Newton equilibrium at r
+    from the first, and its sup-norm distances to both."""
     from . import ring
 
-    z1 = bifurcation.branch_profile(curve, amp, 1, M).values
-    z2 = bifurcation.branch_profile(curve, amp, 2, M).values
-    eq = ring.newton_equilibrium(z1, ring.SystemSpec(Params(r)), ring.build_weights(M, r))
-    return eq, float(np.max(np.abs(eq.theta - z1))), float(np.max(np.abs(eq.theta - z2)))
+    z1, z2 = (bifurcation.branch_profile(curve, amp, order, M) for order in (1, 2))
+    eq = ring.newton_equilibrium(z1.values, ring.SystemSpec(Params(r)), ring.build_weights(M, r))
+    return (z1, z2), eq, [float(np.max(np.abs(eq.theta - z.values))) for z in (z1, z2)]
 
 
 def _run_branch(cfg):
@@ -488,7 +485,6 @@ def _run_branch(cfg):
 
     p = cfg.parameters
     q, s0, M = p["q"], p["s0"], p["M"]
-    grid = p.get("grid_size") or M
     prov = []
     curve, report = _threshold_report(q, spectrum.ATTRACTIVE_R0)
     amp = bifurcation.a_app(report, s0)
@@ -502,19 +498,16 @@ def _run_branch(cfg):
         for name in ("gamma1", "gamma2", "a_app"):
             prov.append([name, "fig5"])
 
-    z1g = bifurcation.branch_profile(curve, amp, 1, grid)
-    z2g = bifurcation.branch_profile(curve, amp, 2, grid)
-    psi = 2.0 * math.pi * q * z1g.x
+    (z1, z2), eq, (err1, err2) = _branch_errors(curve, amp, r_m + s0, M)
+    psi = 2.0 * math.pi * q * z1.x
     profile_rows = [[_fmt(x), _fmt(a), _fmt(b), _fmt(c)]
-                    for x, a, b, c in zip(z1g.x, psi, z1g.values, z2g.values)]
+                    for x, a, b, c in zip(z1.x, psi, z1.values, z2.values)]
     csvs = {"branch": ("x,psi_q,z1,z2", profile_rows)}
-
-    eq, err1, err2 = _branch_errors(curve, amp, r_m + s0, M)
     results.update({
         "newton_residual": eq.residual_norm,
         "newton_iterations": eq.iterations,
         "err_z1": err1, "err_z2": err2,
-        "z2_coefficient": z2g.z2_coefficient,
+        "z2_coefficient": z2.z2_coefficient,
     })
     csvs["equilibrium"] = _state_csv(eq.theta)
 
@@ -523,7 +516,7 @@ def _run_branch(cfg):
         err_rows = []
         for s in s_values:
             amp_s = bifurcation.a_app(report, s)
-            _, err1_s, err2_s = _branch_errors(curve, amp_s, r_m + s, M)
+            _, _, (err1_s, err2_s) = _branch_errors(curve, amp_s, r_m + s, M)
             err_rows.append([s, amp_s, err1_s, err2_s])
         logs = np.log(np.abs(np.array(s_values)))
         slope1 = float(np.polyfit(logs, np.log([r[2] for r in err_rows]), 1)[0])

@@ -1,8 +1,8 @@
 """Ring coupling kernel, its Fourier coefficients, and the coefficient algebra.
 
 Everything here is a pure closed-form function of the coupling parameters
-``p = (r, lam, mu)``: the indicator kernel on the ring, its cosine-series
-coefficients, the linearization eigenvalue sequence ``c1`` around a twisted
+``p = (r, lam, mu)``: the cosine-series coefficients of the indicator kernel
+on the ring, the linearization eigenvalue sequence ``c1`` around a twisted
 state, the higher derivative coefficients ``c2..c6``, and the structural
 functions (``lambda0``, ``big_H``, ``iota``, ``cap_X``) used to place and
 reshape the bifurcation. All functions are thread-safe.
@@ -22,8 +22,6 @@ TWO_PI = 2.0 * math.pi
 #: corresponding quantity reported as degenerate instead of returning a huge value.
 DEGENERACY_TOL = 1e-12
 
-_COEFFICIENT_NAMES = ("c2", "c3", "c4", "c5", "c6")
-
 #: Entries per block when ``w_hat`` and ``c1`` sweep a long mode list, so
 #: their temporaries stay in cache.
 _BLOCK = 8192
@@ -40,19 +38,6 @@ class Params:
     def __post_init__(self):
         if not 0.0 < self.r <= 0.5:
             raise ValueError(f"coupling range must satisfy 0 < r <= 1/2, got r={self.r}")
-
-
-def w_kernel(r, x):
-    """Indicator coupling kernel on the unit-circumference ring.
-
-    Returns 1 where the circular distance of ``x`` to 0 is at most ``r``,
-    else 0. ``x`` is reduced modulo 1; scalar or array.
-    """
-    if not 0.0 < r <= 0.5:
-        raise ValueError(f"coupling range must satisfy 0 < r <= 1/2, got r={r}")
-    x = np.asarray(x, dtype=float) % 1.0
-    out = np.where(np.minimum(x, 1.0 - x) <= r, 1.0, 0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def w_hat(r, k):
@@ -184,22 +169,6 @@ def c6(q, k, p):
     ) / 16.0
 
 
-def coefficient(name, q, k, p, m=None):
-    """Dispatch to one of ``c2..c6`` by name.
-
-    ``m`` is required for ``c3``/``c4`` and rejected otherwise.
-    """
-    if name not in _COEFFICIENT_NAMES:
-        raise ValueError(f"unknown coefficient {name!r}; expected one of {_COEFFICIENT_NAMES}")
-    if name in ("c3", "c4"):
-        if m is None:
-            raise ValueError(f"{name} requires the mode argument m")
-        return {"c3": c3, "c4": c4}[name](q, m, k, p)
-    if m is not None:
-        raise ValueError(f"{name} takes no mode argument m")
-    return {"c2": c2, "c5": c5, "c6": c6}[name](q, k, p)
-
-
 def tail_limit(q, p):
     """Limit of ``c1(q, k, p)`` as ``k`` grows; the only non-eigenvalue spectral point."""
     return 0.25 * w_hat(p.r, q) * (-2.0 - (4.0 * p.lam + 2.0 * p.mu))
@@ -210,15 +179,9 @@ def lambda0(q, r0):
 
     Valid as the stability boundary once the leading mode is the twist mode
     itself (``r0`` past the mode-locking radius); the caller is responsible
-    for that interpretation.
+    for that interpretation. Degenerate where :func:`big_H` is.
     """
-    wq = w_hat(r0, q)
-    if abs(wq) < DEGENERACY_TOL:
-        raise DegenerateKernelError(
-            f"w_hat(r0={r0}, q={q}) = {wq:.3e}: eigenvalues do not respond to the "
-            "triplet strength, stabilization impossible"
-        )
-    val = (w_hat(r0, 2 * q) + w_hat(r0, 0) - 2.0 * wq) / (4.0 * wq)
+    val = big_H(q, r0) / 4.0  # the critical 4 lam + 2 mu at mu = 0
     # w_hat(2q) + w_hat(0) > 0 keeps the tail limit away from zero here
     assert abs(val + 0.5) > DEGENERACY_TOL
     return val

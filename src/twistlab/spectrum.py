@@ -297,13 +297,13 @@ def triangle_tail_bound(q, k, L):
     return (8.0 / math.pi**2) / (L - c)
 
 
-def alt_eigenvalue(family, q, r, k, d=None, m_last=None, ell_cutoff=None, corrected=False):
+def alt_eigenvalue(family, q, r, k, m_last=None, ell_cutoff=None, corrected=False):
     """Twisted-state eigenvalue of one of the alternative higher-order couplings.
 
-    ``general_d``: coupling through a single kernel evaluation over ``d + 1``
-    phases with integer weights; needs ``m_last`` (the weight on the evolving
-    phase, which carries the sign). The eigenvalue is mode-independent for
-    ``k != 0``.
+    ``general_d``: coupling of three or more phases through a single kernel
+    evaluation with integer weights; needs ``m_last`` (the weight on the
+    evolving phase, which carries the sign). The eigenvalue is the same for
+    every ``k != 0``, whatever the number of phases.
     ``product4``: product-kernel triplet coupling.
     ``triangle``: fully symmetric triangle coupling; the mode sum is truncated
     symmetrically at ``|ell| <= ell_cutoff`` with a certified O(1/L) tail.
@@ -320,8 +320,6 @@ def alt_eigenvalue(family, q, r, k, d=None, m_last=None, ell_cutoff=None, correc
     if family == "general_d":
         if m_last is None:
             raise ValueError("general_d requires the integer weight m_last")
-        if d is not None and d < 2:
-            raise ValueError("general_d covers couplings of three or more phases (d >= 2)")
         return 0.5 * m_last * kernel.w_hat(r, q)
     if family == "product4":
         W = lambda j: kernel.w_hat(r, j)

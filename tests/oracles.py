@@ -130,6 +130,32 @@ def mixed_second_derivative_projection(q, m, k, p, out_mode, M=2048, eps=1e-3):
     return _project(M, stencil, out_mode)
 
 
+def product4_field(b, theta):
+    """Pinned product-kernel triplet field on the lattice with weights ``b``.
+
+    ``G_k = sum_{i,j} b_{i-k} b_{j-k} sin(theta_i + theta_j - 2 theta_k) / M^2``
+    equals ``Im(conj(u_k)^2 conv(b, u)_k^2) / M^2`` with ``u = exp(i theta)``,
+    evaluated here by an O(M^2) direct convolution.
+    """
+    M = len(b)
+    idx = np.arange(M)
+    u = np.exp(1j * theta)
+    conv = b[(idx[None, :] - idx[:, None]) % M] @ u
+    g = (np.conj(u) ** 2 * conv**2).imag / M**2
+    return g - g[0]
+
+
+def product4_field_double_sum(b, theta):
+    """:func:`product4_field` as the O(M^3) double sum over phase pairs, its cross-check."""
+    M = len(b)
+    idx = np.arange(M)
+    g = np.zeros(M)
+    for kk in range(M):
+        s = np.sin(theta[:, None] + theta[None, :] - 2.0 * theta[kk])
+        g[kk] = (b[(idx - kk) % M][:, None] * b[(idx - kk) % M][None, :] * s).sum() / M**2
+    return g - g[0]
+
+
 def alt_coupling_eigenvalue_fd(family, q, r, k, M=512, eps=1e-5, m_weights=None):
     """Directional-derivative eigenvalue oracle for the alternative couplings.
 
@@ -163,12 +189,7 @@ def alt_coupling_eigenvalue_fd(family, q, r, k, M=512, eps=1e-5, m_weights=None)
             g = (pw(m3)[idx] * conv[(-m3 * idx) % M]).imag / M**2
             return g - g[0]
     elif family == "product4":
-        def field(theta):
-            g = np.zeros(M)
-            for kk in range(M):
-                s = np.sin(theta[:, None] + theta[None, :] - 2.0 * theta[kk])
-                g[kk] = (b[(idx - kk) % M][:, None] * b[(idx - kk) % M][None, :] * s).sum() / M**2
-            return g - g[0]
+        field = lambda theta: product4_field(b, theta)
     elif family == "triangle":
         bjk = b[(idx[:, None] - idx[None, :]) % M]
 

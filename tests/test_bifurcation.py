@@ -7,7 +7,6 @@ from twistlab import bifurcation, kernel, spectrum
 from twistlab.bifurcation import (
     CurveSpec,
     a_app,
-    branch_eigenvalue_prediction,
     branch_profile,
     gamma1_t,
     gamma_pair,
@@ -157,13 +156,13 @@ def test_branch_profile_structure(attractive5):
 def test_branch_eigenvalue_prediction_signs(attractive5):
     _, _, rep = attractive5
     assert rep.gamma1 > 0
-    assert branch_eigenvalue_prediction(rep, 0.02) > 0  # subcritical: branch unstable
+    assert rep.branch_eig_coefficient * 0.02 * 0.02 > 0  # subcritical: branch unstable
     flipped = bifurcation.BifurcationReport(
         q=rep.q, ell=rep.ell, p0=rep.p0, gamma1=-rep.gamma1, gamma2=rep.gamma2,
         criticality="supercritical", branch_side="s_positive",
         kappa_at_bifurcation=rep.kappa_at_bifurcation,
         branch_eig_coefficient=-2 * rep.gamma1)
-    assert branch_eigenvalue_prediction(flipped, 0.02) < 0  # supercritical: stable
+    assert flipped.branch_eig_coefficient * 0.02 * 0.02 < 0  # supercritical: stable
 
 
 def test_gamma_ratio_limit():

@@ -74,14 +74,15 @@ def test_kernel_every_name_runs_and_needs_each_of_its_flags(tmp_path):
 
 
 def test_out_of_range_values_are_usage_errors(tmp_path):
-    # the library rejects these; the CLI maps its ValueError to exit 2 before
-    # anything is written
+    # the library rejects these (the CLI only --q-max, which no library call
+    # reads); the CLI maps its ValueError to exit 2 before anything is written
     for argv in (["kernel", "--name", "w-hat", "--r", "0.7", "--k", "1"],
                  ["kernel", "--name", "upsilon0", "--r", "0"],
                  ["spectrum", "--q", "5", "--r", "0.7"],
                  ["spectrum", "--q", "5", "--r", "0.2", "--tol", "0"],
                  ["gamma", "--q", "5", "--r0", "0.7"],
                  ["gamma", "--q", "2", "--family", "t-family", "--r0", "0.75"],
+                 ["gamma", "--q-max", "1"],
                  ["simulate", "--M", "100", "--r", "0.7"],
                  ["equilibrium", "--M", "100", "--r=-0.1"],
                  ["stability-map", "--r", "0.1:x:5", "--lambda", "0:6:3"]):
@@ -189,8 +190,7 @@ def test_iota_command(tmp_path):
 
 
 def test_branch_csv_header(tmp_path):
-    code, out = run(["branch", "--q", "5", "--s0=-1e-4", "--M", "120",
-                     "--grid-size", "120"], tmp_path, "b")
+    code, out = run(["branch", "--q", "5", "--s0=-1e-4", "--M", "120"], tmp_path, "b")
     assert code == 0
     lines = (out / "branch.csv").read_text().splitlines()
     assert lines[0] == "x,psi_q,z1,z2"

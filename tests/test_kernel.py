@@ -5,7 +5,7 @@ import pytest
 
 from twistlab import kernel
 from twistlab.errors import DegenerateKernelError, SingularPointError
-from twistlab.kernel import Params, big_H, c1, cap_X, coefficient, iota, lambda0, tail_limit, upsilon0, w_hat, w_kernel
+from twistlab.kernel import Params, big_H, c1, cap_X, iota, lambda0, tail_limit, upsilon0, w_hat
 
 from oracles import (
     linearized_eigenvalue_quadrature,
@@ -26,15 +26,6 @@ def test_params_range_validation():
         Params(0.7)
     with pytest.raises(ValueError):
         Params(-0.1)
-
-
-def test_w_kernel_examples():
-    assert w_kernel(0.15, 0.1) == 1.0
-    assert w_kernel(0.15, 0.9) == 1.0
-    assert w_kernel(0.15, 0.5) == 0.0
-    # modulo reduction
-    assert w_kernel(0.15, 1.1) == 1.0
-    assert w_kernel(0.15, -0.1) == 1.0
 
 
 def test_w_hat_examples():
@@ -165,19 +156,6 @@ def test_c1_param_gradient_matches_fd():
             (c1(q, k, Params(p.r, p.lam, p.mu + h)) - c1(q, k, Params(p.r, p.lam, p.mu - h))) / (2 * h),
         ]
         assert np.allclose(grad, fd, rtol=1e-5, atol=1e-9)
-
-
-def test_coefficient_dispatch_and_m_validation():
-    p = Params(0.2, 0.1, 0.2)
-    assert coefficient("c2", 3, 2, p) == kernel.c2(3, 2, p)
-    assert coefficient("c3", 3, 2, p, m=5) == kernel.c3(3, 5, 2, p)
-    assert coefficient("c4", 3, 2, p, m=5) == kernel.c4(3, 5, 2, p)
-    with pytest.raises(ValueError):
-        coefficient("c3", 3, 2, p)
-    with pytest.raises(ValueError):
-        coefficient("c2", 3, 2, p, m=1)
-    with pytest.raises(ValueError):
-        coefficient("c1", 3, 2, p)
 
 
 def test_c3_antisymmetry_and_diagonal():

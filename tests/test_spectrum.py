@@ -17,7 +17,7 @@ from twistlab.spectrum import (
     truncation_bound,
 )
 
-from oracles import alt_coupling_eigenvalue_fd
+from oracles import alt_coupling_eigenvalue_fd, product4_field, product4_field_double_sum
 
 
 def test_mode_cutoff_certifies_tail():
@@ -162,8 +162,8 @@ def test_sufficient_condition_implies_twist_mode_leads():
 
 def test_alt_eigenvalue_general_family():
     # mode independent for k != 0, zero at k = 0
-    assert alt_eigenvalue("general_d", 3, 0.2, 0, d=2, m_last=-2) == 0.0
-    vals = [alt_eigenvalue("general_d", 3, 0.2, k, d=2, m_last=-2) for k in (1, 2, 7, 40)]
+    assert alt_eigenvalue("general_d", 3, 0.2, 0, m_last=-2) == 0.0
+    vals = [alt_eigenvalue("general_d", 3, 0.2, k, m_last=-2) for k in (1, 2, 7, 40)]
     assert np.allclose(vals, vals[0])
     assert vals[0] == pytest.approx(-w_hat(0.2, 3), rel=1e-12)
     # lattice directional-derivative oracle, canonical diffusive weights (1, 1, -2):
@@ -184,6 +184,16 @@ def test_alt_eigenvalue_product4():
     num512 = alt_coupling_eigenvalue_fd("product4", 2, 0.23, 3, M=512)
     assert num512 == pytest.approx(val, rel=5e-2)
     assert abs(num512 - val) < 0.7 * abs(num256 - val)
+
+
+def test_product4_oracle_field_matches_double_sum():
+    # the O(M^2) convolution form of the product4 oracle's field against the
+    # O(M^3) double sum it replaced, on a small ring with random phases
+    from twistlab import ring
+
+    theta = np.random.default_rng(3).uniform(-2, 2, 48)
+    b = ring.build_weights(48, 0.23).b
+    assert np.max(np.abs(product4_field(b, theta) - product4_field_double_sum(b, theta))) < 1e-15
 
 
 def test_alt_eigenvalue_triangle():
