@@ -45,7 +45,7 @@ __version__ = "0.1.0"
 _RING_NAMES = frozenset({
     "CouplingWeights", "EquilibriumResult", "IntegrationResult", "SystemSpec", "build_weights",
     "finite_threshold", "integrate", "jacobian", "jacobian_spectrum", "newton_equilibrium",
-    "perturb", "rhs", "symmetry_shift", "twisted_spectrum", "twisted_state",
+    "perturb", "rhs", "symmetry_shift", "twisted_state",
 })
 
 

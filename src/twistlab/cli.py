@@ -186,8 +186,6 @@ def _build_parser():
     sp.add_argument("--init", default="twisted", choices=["twisted", "z1"],
                     help="start from the twisted state or the first-order branch profile")
     sp.add_argument("--s0", type=float, default=-1e-4)
-    sp.add_argument("--max-iter", type=int, default=50)
-    sp.add_argument("--tol", type=float, default=1e-12)
     common(sp)
 
     sp = sub.add_parser("stability-map", help="(r, lambda) stability landscape")
@@ -618,8 +616,7 @@ def _run_equilibrium(cfg):
     else:
         curve, report = _threshold_report(q, spectrum.ATTRACTIVE_R0)
         theta0 = bifurcation.branch_profile(curve, bifurcation.a_app(report, p["s0"]), 1, M).values
-    eq = ring.newton_equilibrium(theta0, spec, weights,
-                                 max_iter=p["max_iter"], tol=p["tol"])
+    eq = ring.newton_equilibrium(theta0, spec, weights)
     leading = ring.jacobian_spectrum(eq.theta, spec, weights, n_eigs=10)
     results = {
         "M": M, "q": q, "r": r, "sign": p["sign"],

@@ -12,10 +12,11 @@ share one inverse FFT, and for even M the triplet term needs only a
 half-length one. The naive path evaluates the same convolutions by direct
 summation and serves as the oracle.
 
-Spectra are exact, and :func:`jacobian_spectrum` picks the path from the
-state: :func:`twisted_spectrum` in closed form when it is handed a twisted
-state (circulant linearization, any M), dense eigenvalues of the analytic
-:func:`jacobian` at any other state with ``M <= DENSE_CAP``.
+Spectra are exact, and :func:`jacobian_spectrum` is the one spectrum call:
+the closed form when it is handed a twisted state (circulant linearization,
+any M), dense eigenvalues of the analytic :func:`jacobian` at any other state
+with ``M <= DENSE_CAP``. Ring shifts are :func:`symmetry_shift`, which
+:func:`best_shift_residual` also searches.
 
 Time integration is adaptive with a terminal stop at the equilibrium
 ``sup |rhs| < EQUILIBRIUM_TOL``; the ring size alone picks the method. It is
@@ -23,7 +24,8 @@ LSODA for ``M <= DENSE_CAP``: explicit Adams steps while the ring is
 non-stiff, implicit BDF fed the analytic :func:`jacobian` once it turns stiff
 (near a weakly unstable twisted state). Above the cap it is an embedded 5(4)
 Runge-Kutta pair. Damped Newton refinement of an equilibrium is dense, up to
-``DENSE_CAP``, and only solves: callers that want the spectrum at the
+``DENSE_CAP``, runs at most ``NEWTON_MAX_ITER`` iterations to the residual
+``NEWTON_TOL``, and only solves: callers that want the spectrum at the
 solution ask :func:`jacobian_spectrum`.
 
 This is the one module that needs scipy (``solve_ivp`` and the LU routines),
@@ -68,7 +70,7 @@ REPULSIVE = "repulsive"
 #: Dense eigensolver / Newton size limit (state dimension M).
 DENSE_CAP = 2000
 
-_BLOCK_ELEMS = 1 << 18   # entries per row block of the O(M^2) fills (2 MiB of float64)
+_BLOCK_ELEMS = 1 << 18   # entries per row block of the Jacobian fill (2 MiB of float64)
 _RCOND_LIMIT = 1e-12     # Newton Jacobian reciprocal-condition floor
 
 #: Integration stops once ``sup |rhs|`` falls below this.
@@ -76,6 +78,10 @@ EQUILIBRIUM_TOL = 1e-10
 
 #: Radius resolution of :func:`finite_threshold`.
 THRESHOLD_XTOL = 1e-6
+
+#: Iteration limit and residual target ``sup |rhs|`` of :func:`newton_equilibrium`.
+NEWTON_MAX_ITER = 50
+NEWTON_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,8 @@ class SystemSpec:
 
     ``include_orders=None`` selects the pairwise term plus whichever
     higher-order terms have nonzero strength. The repulsive (sign-reversed)
-    model is defined for pairwise-only coupling.
+    model is defined for pairwise-only coupling. The ring layer reads the
+    radius only from the weights, so ``p.r`` may be a placeholder.
     """
 
     p: Params
@@ -184,24 +191,16 @@ def best_shift_residual(theta_a, theta_b):
     """Closest ring-shift match between two states, compared modulo 2 pi.
 
     Returns ``(j, residual)`` minimizing the sup-norm of the wrapped difference
-    ``symmetry_shift(theta_a, j) - theta_b`` over all integer shifts.
+    ``symmetry_shift(theta_a, j) - theta_b`` over all integer shifts; the
+    first such ``j`` on ties. O(M^2) time, O(M) memory.
     """
     M = len(theta_a)
     if len(theta_b) != M:
         raise ValueError("states must have equal length")
-    k = np.arange(M)
-    residuals = np.empty(M)
-    for rows in _row_blocks(M):
-        shifted = theta_a[(k[None, :] + k[rows, None]) % M] - theta_a[rows, None]  # row j = shift by j
-        residuals[rows] = np.max(np.abs(wrap_to_pi(shifted - theta_b[None, :])), axis=1)
+    residuals = [np.max(np.abs(wrap_to_pi(symmetry_shift(theta_a, j) - theta_b)))
+                 for j in range(M)]
     j = int(np.argmin(residuals))
     return j, float(residuals[j])
-
-
-def _row_blocks(M):
-    """Slices of consecutive rows of an M-column table, ``_BLOCK_ELEMS`` entries each."""
-    step = max(1, _BLOCK_ELEMS // M)
-    return [slice(s, min(s + step, M)) for s in range(0, M, step)]
 
 
 def wrap_to_pi(x):
@@ -328,7 +327,9 @@ def jacobian(theta, spec, weights):
         c, s = np.cos(theta), np.sin(theta)
     cols = np.arange(M)
     A = np.zeros((M, M))
-    for rows in _row_blocks(M):
+    step = max(1, _BLOCK_ELEMS // M)
+    for start in range(0, M, step):
+        rows = slice(start, min(start + step, M))
         k = cols[rows, None]
         if PAIRWISE in orders:
             # cos(theta_cols - theta_rows) as a rank-2 product
@@ -347,16 +348,14 @@ def jacobian(theta, spec, weights):
     return J
 
 
-def twisted_spectrum(q, spec, weights):
+def _twisted_spectrum(q, spec, weights):
     """Exact pinned Jacobian eigenvalues at the q-twisted state, descending.
 
     The linearization at a twisted state is circulant, so its eigenvalues are
     :func:`kernel.c1` with ``w_hat(r, j)`` replaced by the lattice
     coefficients ``B_j = (2/M) Re FFT(b)_j``, for modes ``k = 1..M-1``. Any M;
-    the spec must include the pairwise term.
+    callers hand it specs with the pairwise term.
     """
-    if PAIRWISE not in spec.include_orders:
-        raise ValueError("the twisted-state spectrum needs the pairwise term")
     M = weights.M
     B = (2.0 / M) * weights.b_fft.real
     lam = spec.p.lam if TRIPLET in spec.include_orders else 0.0
@@ -380,7 +379,7 @@ def _twist_count(theta, spec):
     does not cover.
     """
     M = len(theta)
-    if M < 2 or PAIRWISE not in spec.include_orders:
+    if PAIRWISE not in spec.include_orders:
         return None
     x = float(theta[1]) * M / TWO_PI
     if not math.isfinite(x):
@@ -395,18 +394,19 @@ def jacobian_spectrum(theta, spec, weights, n_eigs=None):
     """Real parts of the Jacobian eigenvalues on the pinned coordinates, descending.
 
     When ``theta`` is bitwise ``twisted_state(M, q)`` with ``0 <= q < M``, and
-    the spec has the pairwise term, this is :func:`twisted_spectrum` in
-    O(M log M) at any M. Any other state gets the dense eigenvalues of the
-    analytic :func:`jacobian`, for ``M <= DENSE_CAP``; larger rings raise
-    :class:`ResourceLimitError`. ``n_eigs`` keeps only the leading values. The
-    path taken is logged at DEBUG level on the ``twistlab`` logger.
+    the spec has the pairwise term, this is the closed form of the circulant
+    linearization, in O(M log M) at any M. Any other state gets the dense
+    eigenvalues of the analytic :func:`jacobian`, for ``M <= DENSE_CAP``;
+    larger rings raise :class:`ResourceLimitError`. ``n_eigs`` keeps only the
+    leading values. The path taken is logged at DEBUG level on the
+    ``twistlab`` logger.
     """
     theta = _check_state(theta, weights)
     M = weights.M
     q = _twist_count(theta, spec)
     if q is not None:
         _log.debug("jacobian_spectrum: closed-form path, M=%d, q=%d", M, q)
-        parts = twisted_spectrum(q, spec, weights)
+        parts = _twisted_spectrum(q, spec, weights)
     else:
         _log.debug("jacobian_spectrum: dense path, M=%d", M)
         if M > DENSE_CAP:
@@ -483,7 +483,7 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
                     rtol=tol, atol=tol, events=event, **options)
     if sol.status == -1:
         raise StiffnessError(f"integration step failed: {sol.message}",
-                             t_reached=float(sol.t[-1]) if len(sol.t) else 0.0)
+                             t_reached=float(sol.t[-1]))
     if sol.status == 1:
         theta = _repin(sol.y_events[0][0])
         t_reached = float(sol.t_events[0][0])
@@ -503,13 +503,13 @@ class EquilibriumResult:
     iterations: int
 
 
-def newton_equilibrium(theta_init, spec, weights, max_iter=50, tol=1e-12):
+def newton_equilibrium(theta_init, spec, weights):
     """Damped Newton iteration for an equilibrium of the pinned system.
 
     Steps are halved (at most 30 times) until the residual decreases. Success
-    means ``sup |rhs| < tol``. The result holds the solution, its residual
-    and the iteration count; its stability is :func:`jacobian_spectrum` at
-    ``result.theta``.
+    means ``sup |rhs| < NEWTON_TOL`` within ``NEWTON_MAX_ITER`` iterations.
+    The result holds the solution, its residual and the iteration count; its
+    stability is :func:`jacobian_spectrum` at ``result.theta``.
     """
     theta = _check_state(theta_init, weights).copy()
     M = weights.M
@@ -518,8 +518,8 @@ def newton_equilibrium(theta_init, spec, weights, max_iter=50, tol=1e-12):
     gecon = get_lapack_funcs("gecon", (np.empty((2, 2)),))
     F = rhs(theta, spec, weights)
     res = np.max(np.abs(F))
-    for iteration in range(max_iter):
-        if res < tol:
+    for iteration in range(NEWTON_MAX_ITER):
+        if res < NEWTON_TOL:
             return EquilibriumResult(theta=theta, residual_norm=float(res), iterations=iteration)
         J = jacobian(theta, spec, weights)
         lu, piv = lu_factor(J)
@@ -546,22 +546,23 @@ def newton_equilibrium(theta_init, spec, weights, max_iter=50, tol=1e-12):
                 f"Newton stalled after {iteration} iterations at residual {res:.3e}",
                 iterations=iteration, residual=float(res),
             )
-    if res < tol:
-        return EquilibriumResult(theta=theta, residual_norm=float(res), iterations=max_iter)
+    if res < NEWTON_TOL:
+        return EquilibriumResult(theta=theta, residual_norm=float(res),
+                                 iterations=NEWTON_MAX_ITER)
     raise ConvergenceError(
-        f"Newton did not reach tolerance {tol:.1e} in {max_iter} iterations; "
+        f"Newton did not reach tolerance {NEWTON_TOL:.1e} in {NEWTON_MAX_ITER} iterations; "
         f"final residual {res:.3e}",
-        iterations=max_iter, residual=float(res),
+        iterations=NEWTON_MAX_ITER, residual=float(res),
     )
 
 
 def finite_threshold(q, M, kind=ATTRACTIVE):
     """Finite-size bifurcation radius of the q-twisted state on an M-ring.
 
-    Brackets and refines the sign change of the leading eigenvalue of
-    :func:`twisted_spectrum` (pairwise coupling with the continuous,
-    fractional weights) around the continuum threshold; resolves the radius
-    to ``THRESHOLD_XTOL``. Requires M >= 20 q so the profile is resolved.
+    Brackets and refines the sign change of the leading eigenvalue of the
+    closed-form twisted-state spectrum (pairwise coupling with the
+    continuous, fractional weights) around the continuum threshold; resolves
+    the radius to ``THRESHOLD_XTOL``. Requires M >= 20 q so the profile is resolved.
     """
     if kind not in (ATTRACTIVE, REPULSIVE):
         raise ValueError(f"kind must be {ATTRACTIVE!r} or {REPULSIVE!r}, got {kind!r}")
@@ -572,7 +573,7 @@ def finite_threshold(q, M, kind=ATTRACTIVE):
 
     def g(r):
         spec = SystemSpec(Params(r), sign=kind)
-        return flip * float(twisted_spectrum(q, spec, build_weights(M, r))[0])
+        return flip * float(_twisted_spectrum(q, spec, build_weights(M, r))[0])
 
     center = spectrum.threshold(
         q, spectrum.ATTRACTIVE_R0 if kind == ATTRACTIVE else spectrum.REPULSIVE_R0

