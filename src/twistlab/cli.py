@@ -121,7 +121,8 @@ def _build_parser():
     sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
     sp.add_argument("--mu", type=float, default=0.0)
     sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--kmax", default="auto", help="'auto' (certified cutoff) or an integer")
+    sp.add_argument("--kmax", default="auto",
+                    help="'auto' (the certified listing) or an integer that truncates it")
     sp.add_argument("--preset", choices=PRESETS["spectrum"], default=None)
     common(sp)
 
@@ -418,12 +419,13 @@ def _run_gamma(cfg):
         rows = []
         for q in qs:
             curve, report = _threshold_report(q, _THRESHOLD_KINDS[kind])
+            ratio = report.gamma2 / (report.gamma1 * q)
             rows.append([str(q), str(curve.ell), _fmt(curve.base.r), _fmt(report.gamma1),
-                         _fmt(report.gamma2), _fmt(report.gamma2 / (report.gamma1 * q))])
+                         _fmt(report.gamma2), _fmt(ratio)])
         name = preset or f"gamma-ratio-{kind}"
         prov.append(["gamma2/(gamma1*q)", preset or "fig3a"])
         results = {"kind": kind, "q_values": qs,
-                   "ratio_last": float(rows[-1][5])}
+                   "ratio_last": float(ratio)}
         return results, {name: ("q,ell,r0,gamma1,gamma2,ratio", rows)}, prov
 
     curve = _curve_from_gamma_args(p)
@@ -692,10 +694,10 @@ def _config_echo(cfg):
     }
 
 
-def write_report(envelope, output_dir=None):
+def write_report(envelope):
     """Write the JSON envelope (always) and the per-command CSV files."""
     cfg = envelope.config
-    out = Path(output_dir) if output_dir is not None else cfg.output_dir
+    out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": 1,

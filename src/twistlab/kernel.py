@@ -5,7 +5,8 @@ Everything here is a pure closed-form function of the coupling parameters
 on the ring, the linearization eigenvalue sequence ``c1`` around a twisted
 state, the higher derivative coefficients ``c2..c6``, and the structural
 functions (``lambda0``, ``big_H``, ``iota``, ``cap_X``) used to place and
-reshape the bifurcation. All functions are thread-safe.
+reshape the bifurcation. Each closed form is one numpy expression that
+broadcasts over arrays of modes or radii. All functions are thread-safe.
 """
 
 import math
@@ -21,10 +22,6 @@ TWO_PI = 2.0 * math.pi
 #: Any denominator smaller than this in magnitude is treated as zero and the
 #: corresponding quantity reported as degenerate instead of returning a huge value.
 DEGENERACY_TOL = 1e-12
-
-#: Entries per block when ``w_hat`` and ``c1`` sweep a long mode list, so
-#: their temporaries stay in cache.
-_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -44,24 +41,13 @@ def w_hat(r, k):
     """Cosine-series coefficient of the indicator kernel at integer mode ``k``.
 
     ``4r`` at ``k = 0`` and ``2 sin(2 pi k r) / (pi k)`` otherwise; even in
-    ``k``. Accepts scalar or integer-array ``k``, and a scalar ``r`` or an
-    array of radii broadcast against ``k``.
+    ``k``. ``r`` and ``k`` are scalars or arrays and broadcast against each
+    other, so one call sweeps a mode list at one radius or one mode over
+    many radii.
     """
     k = np.asarray(k)
-    radii = isinstance(r, np.ndarray) and r.ndim > 0
-    if radii:  # one value per radius, the modes broadcast against them
-        k, r = np.broadcast_arrays(k, r)
-        r = r.reshape(-1)
-    out = np.empty(k.shape)
-    flat_k, flat_out = k.reshape(-1), out.reshape(-1)
-    for a in range(0, k.size, _BLOCK):  # in place, block by block
-        kb, ob = flat_k[a:a + _BLOCK], flat_out[a:a + _BLOCK]
-        rb = r[a:a + _BLOCK] if radii else r
-        np.multiply(TWO_PI * kb, rb, out=ob)
-        np.sin(ob, out=ob)
-        ob *= 2.0
-        np.divide(ob, math.pi * kb, out=ob, where=kb != 0)
-        np.copyto(ob, 4.0 * rb, where=kb == 0)
+    with np.errstate(invalid="ignore"):  # 0 / 0 at k = 0, replaced by 4r
+        out = np.where(k == 0, 4.0 * r, 2.0 * np.sin(TWO_PI * k * r) / (math.pi * k))
     return float(out) if out.ndim == 0 else out
 
 
@@ -92,27 +78,12 @@ def c1(q, k, p):
 def _twisted_c1(W, q, k, lam, mu):
     """Twisted-state eigenvalues for kernel coefficients ``W(j)``: continuum or lattice.
 
-    ``0.25 * (W(q - k) + W(q + k)) - 0.25 * (2 + 4 lam + 2 mu) * W(q)``, with
-    array ``k`` swept in place, block by block. When ``W`` returns an array
-    for one mode (one value per radius), ``k`` is a scalar and the same
-    operations run over that array.
+    ``0.25 * (W(q - k) + W(q + k)) - 0.25 * (2 + 4 lam + 2 mu) * W(q)``,
+    broadcast over whatever ``W`` returns: one value per mode of ``k``, or
+    one per radius when ``W`` sweeps radii at a scalar ``k``.
     """
     shift = 0.25 * (2.0 + 4.0 * lam + 2.0 * mu) * W(q)
-    if isinstance(shift, np.ndarray):
-        out = W(q - k)
-        out += W(q + k)
-        out *= 0.25
-        out -= shift
-        return out
-    out = np.empty(np.shape(k))
-    flat_k, flat_out = np.ravel(k), out.reshape(-1)
-    for a in range(0, flat_k.size, _BLOCK):
-        kb, ob = flat_k[a:a + _BLOCK], flat_out[a:a + _BLOCK]
-        ob[:] = W(q - kb)
-        ob += W(q + kb)
-        ob *= 0.25
-        ob -= shift
-    return out
+    return 0.25 * (W(q - k) + W(q + k)) - shift
 
 
 def c1_param_gradient(q, k, p):

@@ -72,14 +72,20 @@ def truncation_bound(q, K):
 
 
 def spectrum_report(q, p, tol=1e-6):
-    """Compute the eigenvalue sequence and its supremum, certified to within ``tol``."""
+    """List the eigenvalue sequence until it certifies its supremum to within ``tol``.
+
+    The list grows as in every other test over all modes: from ``max(4q,
+    64)`` modes, doubling until its largest value clears the tail band of
+    :func:`truncation_bound`, up to ``mode_cutoff(q, tol)`` modes. The
+    supremum fields equal those of the full ``mode_cutoff`` list bit for
+    bit. ``truncation_bound`` describes the returned list, so it may exceed
+    ``tol`` once the listed maximum has settled the supremum.
+    """
     if q < 1:
         raise ValueError("twist number q must be a positive integer")
-    K = mode_cutoff(q, tol)
-    ks = np.arange(1, K + 1)
-    values = kernel.c1(q, ks, p)
     tail = kernel.tail_limit(q, p)
-    tb = truncation_bound(q, K)
+    values = _listed_c1(q, p, lambda v, band: v.max() > tail + band, mode_cutoff(q, tol))
+    ks = np.arange(1, len(values) + 1)
     i_max = int(np.argmax(values))
     listed_max = float(values[i_max])
     if listed_max >= tail:
@@ -89,7 +95,7 @@ def spectrum_report(q, p, tol=1e-6):
     return SpectrumReport(
         q=q, p=p, ks=ks, values=values,
         sup_value=sup_value, sup_attained_at=attained,
-        tail=tail, truncation_bound=tb,
+        tail=tail, truncation_bound=truncation_bound(q, len(ks)),
     )
 
 
@@ -125,15 +131,13 @@ def certified_extreme(q, p, lowest=False, tol=1e-6):
     the listed mode of largest (smallest) value, which attains ``value``
     unless the tail does.
     """
+    if not lowest:
+        rep = spectrum_report(q, p, tol)
+        return rep.sup_value, int(np.argmax(rep.values)) + 1
     tail = kernel.tail_limit(q, p)
-    ceiling = mode_cutoff(q, tol)
-    if lowest:
-        values = _listed_c1(q, p, lambda v, band: v.min() < tail - band, ceiling)
-        i = int(np.argmin(values))
-        return min(float(values[i]), tail), i + 1
-    values = _listed_c1(q, p, lambda v, band: v.max() > tail + band, ceiling)
-    i = int(np.argmax(values))
-    return max(float(values[i]), tail), i + 1
+    values = _listed_c1(q, p, lambda v, band: v.min() < tail - band, mode_cutoff(q, tol))
+    i = int(np.argmin(values))
+    return min(float(values[i]), tail), i + 1
 
 
 def repulsive_critical_mode(q, r0):
@@ -258,17 +262,10 @@ def threshold(q, kind):
         grid = np.arange(0.5, _SCAN_STEP / 2, -_SCAN_STEP)
         if not leading_is_twist(grid[0]):
             raise NoThresholdError(f"leading mode is not the twist mode even at r=1/2 for q={q}")
-        last_good = grid[0]
-        first_bad = None
-        for r in grid[1:]:
-            if leading_is_twist(r):
-                last_good = r
-            else:
-                first_bad = r
-                break
-        if first_bad is None:
+        i = _scan_first_sign_change(lambda r: 0.0 if leading_is_twist(r) else 1.0, grid)
+        if i is None:
             return float(grid[-1])  # numerical estimate: holds on the whole scanned range
-        lo, hi = first_bad, last_good
+        lo, hi = grid[i], grid[i - 1]
         while hi - lo > 1e-6:
             mid = 0.5 * (lo + hi)
             if leading_is_twist(mid):

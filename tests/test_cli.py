@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from twistlab.cli import main, parse_config
+from twistlab.spectrum import mode_cutoff
 
 
 def run(args, tmp_path, name):
@@ -99,6 +100,17 @@ def test_spectrum_csv_header_and_values(tmp_path):
     assert len(lines) == 16
     payload = json.loads((out / "spectrum.json").read_text())
     assert payload["results"]["sup_attained_at"] == 5
+
+
+def test_spectrum_without_kmax_writes_the_certified_listing(tmp_path):
+    code, out = run(["spectrum", "--q", "5", "--r", "0.2"], tmp_path, "spec")
+    assert code == 0
+    res = json.loads((out / "spectrum.json").read_text())["results"]
+    assert (res["sup_value"], res["sup_attained_at"]) == (0.20000000000000004, 5)
+    assert res["tail"] == 1.5592687330077504e-17
+    lines = (out / "spectrum.csv").read_text().splitlines()
+    assert len(lines) == res["modes_listed"] + 1
+    assert res["modes_listed"] < mode_cutoff(5, 1e-6)
 
 
 def test_thresholds_domain_error_exit_code(tmp_path, capsys):

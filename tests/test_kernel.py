@@ -54,6 +54,26 @@ def test_w_hat_scaling_identity():
             assert w_hat(r, k) == pytest.approx(f(k * r) / k, abs=1e-15)
 
 
+def test_w_hat_broadcasts_r_against_k_bitwise():
+    # scalar or array r against scalar or array k, k = 0 and negative k
+    # included: every entry carries the bits of the scalar call
+    rng = np.random.default_rng(5)
+    radii = rng.uniform(1e-4, 0.5, 6)
+    ks = np.array([-7, -1, 0, 1, 3, 40])
+    scalar = np.array([[w_hat(float(r), int(k)) for k in ks] for r in radii])
+    cases = [
+        (radii[:, None], ks, scalar),
+        (radii, 0, scalar[:, 2]),
+        (radii, -7, scalar[:, 0]),
+        (float(radii[1]), ks, scalar[1]),
+    ]
+    for r, k, expected in cases:
+        got = w_hat(r, k)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert isinstance(w_hat(0.3, 0), float) and w_hat(0.3, 0) == 4.0 * 0.3
+
+
 def test_mode1_coefficient_dominates():
     # w_hat(r, 1) >= w_hat(r, k) on a dense (r, k) grid
     rs = np.linspace(0.0, 0.5, 200)
@@ -90,7 +110,7 @@ def test_twisted_c1_over_an_array_of_radii_equals_scalar_c1_bitwise():
 
 
 def test_w_hat_and_c1_long_and_irregular_mode_lists_match_closed_form():
-    # w_hat and c1 sweep several blocks; dense lists take c1's |j| table, sparse ones do not
+    # dense lists take c1's |j| table, sparse ones do not
     rng = np.random.default_rng(3)
     dense = np.arange(-20_000, 20_001)
     mode_lists = [

@@ -60,6 +60,31 @@ def test_spectrum_report_truncation_stability():
     assert abs(sup2 - rep.sup_value) < tol
 
 
+def test_spectrum_report_equals_full_list_supremum():
+    # the listing stops once its maximum settles the supremum, or at the
+    # ceiling; its supremum fields are those of the full mode_cutoff list
+    tol = 1e-4
+    at_ceiling = set()
+    for q in (1, 2, 5, 13):
+        ceiling = mode_cutoff(q, tol)
+        for r in [1e-5, 1e-3] + list(np.linspace(0.02, 0.5, 9)):
+            for lam, mu in ((0.0, 0.0), (0.8, -0.3), (-1.5, 0.0)):
+                p = Params(float(r), lam, mu)
+                rep = spectrum_report(q, p, tol=tol)
+                full = kernel.c1(q, np.arange(1, ceiling + 1), p)
+                i = int(np.argmax(full))
+                attained = full[i] >= rep.tail
+                assert rep.sup_value == (float(full[i]) if attained else rep.tail)
+                assert rep.sup_attained_at == (i + 1 if attained else None)
+                assert rep.tail == kernel.tail_limit(q, p)
+                n = len(rep.ks)
+                assert np.array_equal(rep.ks, np.arange(1, n + 1))
+                assert np.array_equal(rep.values, full[:n])
+                assert rep.truncation_bound == truncation_bound(q, n)
+                at_ceiling.add(n == ceiling)
+    assert at_ceiling == {True, False}  # some settled early, some ran to the ceiling
+
+
 def test_sup_linear_shift_in_lambda():
     # sup(q, (r, lam + d, mu)) = sup(q, (r, lam, mu)) - d * w_hat(r, q)
     q, r, mu = 6, 0.31, 0.2
