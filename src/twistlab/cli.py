@@ -122,7 +122,7 @@ def _build_parser():
     sp.add_argument("--mu", type=float, default=0.0)
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--kmax", default="auto",
-                    help="'auto' (the certified listing) or an integer that truncates it")
+                    help="'auto' (the listing that certifies the supremum) or N for modes 1..N")
     sp.add_argument("--preset", choices=PRESETS["spectrum"], default=None)
     common(sp)
 
@@ -342,7 +342,10 @@ def _run_spectrum(cfg):
     ks, values = rep.ks, rep.values
     if p.get("kmax") not in (None, "auto"):
         kmax = int(p["kmax"])
-        ks, values = ks[:kmax], values[:kmax]
+        if kmax < 1:
+            raise ValueError(f"--kmax must be 'auto' or a positive integer, got {kmax}")
+        ks = np.arange(1, kmax + 1)
+        values = kernel.c1(q, ks, params)
     rows = [[str(int(k)), _fmt(v)] for k, v in zip(ks, values)]
     results = {
         "q": q, "r": params.r, "lambda": params.lam, "mu": params.mu,

@@ -83,19 +83,16 @@ def spectrum_report(q, p, tol=1e-6):
     """
     if q < 1:
         raise ValueError("twist number q must be a positive integer")
-    tail = kernel.tail_limit(q, p)
-    values = _listed_c1(q, p, lambda v, band: v.max() > tail + band, mode_cutoff(q, tol))
-    ks = np.arange(1, len(values) + 1)
-    i_max = int(np.argmax(values))
+    values, i_max, tail = _settled_extreme(q, p, False, tol)
     listed_max = float(values[i_max])
     if listed_max >= tail:
-        sup_value, attained = listed_max, int(ks[i_max])
+        sup_value, attained = listed_max, i_max + 1
     else:
         sup_value, attained = tail, None
     return SpectrumReport(
-        q=q, p=p, ks=ks, values=values,
+        q=q, p=p, ks=np.arange(1, len(values) + 1), values=values,
         sup_value=sup_value, sup_attained_at=attained,
-        tail=tail, truncation_bound=truncation_bound(q, len(ks)),
+        tail=tail, truncation_bound=truncation_bound(q, len(values)),
     )
 
 
@@ -131,13 +128,22 @@ def certified_extreme(q, p, lowest=False, tol=1e-6):
     the listed mode of largest (smallest) value, which attains ``value``
     unless the tail does.
     """
-    if not lowest:
-        rep = spectrum_report(q, p, tol)
-        return rep.sup_value, int(np.argmax(rep.values)) + 1
+    values, i, tail = _settled_extreme(q, p, lowest, tol)
+    return (min if lowest else max)(float(values[i]), tail), i + 1
+
+
+def _settled_extreme(q, p, lowest, tol):
+    """``(values, i, tail)``: the listing that settles the supremum (infimum when ``lowest``).
+
+    The list stops once its largest (smallest) value, at index ``i``, clears
+    the tail band around ``tail``, or at ``mode_cutoff(q, tol)`` modes.
+    """
     tail = kernel.tail_limit(q, p)
-    values = _listed_c1(q, p, lambda v, band: v.min() < tail - band, mode_cutoff(q, tol))
-    i = int(np.argmin(values))
-    return min(float(values[i]), tail), i + 1
+    if lowest:
+        values = _listed_c1(q, p, lambda v, band: v.min() < tail - band, mode_cutoff(q, tol))
+        return values, int(np.argmin(values)), tail
+    values = _listed_c1(q, p, lambda v, band: v.max() > tail + band, mode_cutoff(q, tol))
+    return values, int(np.argmax(values)), tail
 
 
 def repulsive_critical_mode(q, r0):
@@ -262,7 +268,7 @@ def threshold(q, kind):
         grid = np.arange(0.5, _SCAN_STEP / 2, -_SCAN_STEP)
         if not leading_is_twist(grid[0]):
             raise NoThresholdError(f"leading mode is not the twist mode even at r=1/2 for q={q}")
-        i = _scan_first_sign_change(lambda r: 0.0 if leading_is_twist(r) else 1.0, grid)
+        i = next((i for i in range(1, len(grid)) if not leading_is_twist(grid[i])), None)
         if i is None:
             return float(grid[-1])  # numerical estimate: holds on the whole scanned range
         lo, hi = grid[i], grid[i - 1]

@@ -65,8 +65,7 @@ def test_criterion_03_repulsive_window_and_critical_mode():
         assert min_eig[r] > 0, r
     assert min_eig[0.115] < 0
     assert min_eig[0.182] < 0
-    rep = spectrum.spectrum_report(5, Params(0.118), tol=1e-6)
-    mode = int(rep.ks[np.argmin(rep.values)])
+    mode = spectrum.certified_extreme(5, Params(0.118), lowest=True)[1]
     elapsed = time.perf_counter() - t0
     assert mode == 11
     assert elapsed < 1.0
@@ -75,6 +74,7 @@ def test_criterion_03_repulsive_window_and_critical_mode():
     for r in radii:
         p = Params(r)
         assert min(float(np.min(kernel.c1(5, ks, p))), kernel.tail_limit(5, p)) == min_eig[r], r
+    assert int(np.argmin(kernel.c1(5, ks, Params(0.118)))) + 1 == mode
     _line(3, "PASS", f"all modes positive on [0.120, 0.175], critical mode {mode}", elapsed)
 
 

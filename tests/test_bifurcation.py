@@ -178,8 +178,7 @@ def test_repulsive_ratio_outliers_reported_as_is():
     expected = {2: 6248.0, 3: 1045.0}
     for q, target in expected.items():
         r0r = spectrum.threshold(q, spectrum.REPULSIVE_R0)
-        srep = spectrum.spectrum_report(q, Params(r0r + 1e-9), tol=1e-6)
-        ell = int(srep.ks[np.argmin(srep.values)])
+        ell = spectrum.repulsive_critical_mode(q, r0r)
         rep = gamma_pair(linear_curve(q, ell, Params(r0r), (1.0, 0.0, 0.0)))
         assert rep.gamma2 / (rep.gamma1 * q) == pytest.approx(target, rel=1e-2)
 

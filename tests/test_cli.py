@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twistlab import kernel
 from twistlab.cli import main, parse_config
+from twistlab.kernel import Params
 from twistlab.spectrum import mode_cutoff
 
 
@@ -111,6 +113,23 @@ def test_spectrum_without_kmax_writes_the_certified_listing(tmp_path):
     lines = (out / "spectrum.csv").read_text().splitlines()
     assert len(lines) == res["modes_listed"] + 1
     assert res["modes_listed"] < mode_cutoff(5, 1e-6)
+
+
+def test_spectrum_kmax_lists_modes_one_to_n(tmp_path):
+    # N past the certified listing still writes N modes, the values of c1
+    code, out = run(["spectrum", "--q", "5", "--r", "0.005", "--kmax", "200"], tmp_path, "spec")
+    assert code == 0
+    res = json.loads((out / "spectrum.json").read_text())["results"]
+    assert res["modes_listed"] == 200
+    rows = [line.split(",") for line in (out / "spectrum.csv").read_text().splitlines()[1:]]
+    assert [int(k) for k, _ in rows] == list(range(1, 201))
+    expected = kernel.c1(5, np.arange(1, 201), Params(0.005))
+    assert np.array_equal([float(v) for _, v in rows], expected)
+    assert int(np.argmin(expected)) + 1 > 64  # the most negative mode lies past the listing
+    for bad in ("0", "-5"):
+        assert main(["spectrum", "--q", "5", "--r", "0.2", "--kmax", bad,
+                     "--out", str(tmp_path / "bad")]) == 2, bad
+        assert not (tmp_path / "bad").exists()
 
 
 def test_thresholds_domain_error_exit_code(tmp_path, capsys):

@@ -35,19 +35,25 @@ def test_spectrum_report_trivial_half_range():
     rep = spectrum_report(3, Params(0.5), tol=1e-6)
     assert rep.sup_value == pytest.approx(0.5, abs=1e-14)
     assert rep.sup_attained_at == 3
-    others = rep.values[rep.ks != 3]
-    assert np.max(np.abs(others)) < 1e-14
+    # every other mode over the full certified list
+    full = kernel.c1(3, np.arange(1, mode_cutoff(3, 1e-6) + 1), Params(0.5))
+    assert np.max(np.abs(np.delete(full, 2))) < 1e-14
 
 
 def test_spectrum_report_all_positive_window():
+    # the certified infimum over all modes, tail included, is positive
     rep = spectrum_report(5, Params(0.14), tol=1e-6)
     assert np.all(rep.values > 0)
     assert rep.tail > 0
+    assert spectrum.certified_extreme(5, Params(0.14), lowest=True)[0] > 0
 
 
 def test_spectrum_report_repulsive_critical_mode():
-    rep = spectrum_report(5, Params(0.118), tol=1e-6)
-    assert int(rep.ks[np.argmin(rep.values)]) == 11
+    # the lowest mode over the full certified list, and as certified_extreme finds it
+    p = Params(0.118)
+    full = kernel.c1(5, np.arange(1, mode_cutoff(5, 1e-6) + 1), p)
+    assert int(np.argmin(full)) + 1 == 11
+    assert spectrum.certified_extreme(5, p, lowest=True)[1] == 11
 
 
 def test_spectrum_report_truncation_stability():
@@ -346,8 +352,8 @@ def test_repulsive_critical_mode_equals_full_list_argmin():
         r0 = threshold(q, spectrum.REPULSIVE_R0)
         assert spectrum.repulsive_critical_mode(q, r0) == ell, q
     r0 = threshold(5, spectrum.REPULSIVE_R0)
-    rep = spectrum_report(5, Params(r0 + 1e-9), tol=1e-6)
-    assert int(rep.ks[np.argmin(rep.values)]) == 11
+    full = kernel.c1(5, np.arange(1, mode_cutoff(5, 1e-6) + 1), Params(r0 + 1e-9))
+    assert int(np.argmin(full)) + 1 == 11
 
 
 def test_threshold_crossing_pairs_radius_and_mode():
