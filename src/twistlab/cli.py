@@ -562,6 +562,8 @@ def _run_simulate(cfg):
     from . import ring
 
     p = cfg.parameters
+    if p["n_runs"] < 1:
+        raise ValueError(f"--n-runs must be a positive integer, got {p['n_runs']}")
     M, q = p["M"], p["q"]
     prov = []
     r, r_m = _ring_radius(p, p["s"])

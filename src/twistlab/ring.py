@@ -14,18 +14,20 @@ summation and serves as the oracle.
 
 Spectra are exact, and :func:`jacobian_spectrum` is the one spectrum call:
 the closed form when it is handed a twisted state (circulant linearization,
-any M), dense eigenvalues of the analytic :func:`jacobian` at any other state
-with ``M <= DENSE_CAP``. Ring shifts are :func:`symmetry_shift`, which
-:func:`best_shift_residual` also searches.
+any M), dense eigenvalues of the analytic :func:`jacobian` at any other state.
+That Jacobian has one frame, the state's own M x M with row and column 0
+zero, built only up to ``DENSE_CAP``: LSODA takes it as it is, Newton and the
+dense spectrum read its pinned block ``[1:, 1:]``. Ring shifts are
+:func:`symmetry_shift`, which :func:`best_shift_residual` also searches.
 
 Time integration is adaptive with a terminal stop at the equilibrium
 ``sup |rhs| < EQUILIBRIUM_TOL``; the ring size alone picks the method. It is
 LSODA for ``M <= DENSE_CAP``: explicit Adams steps while the ring is
 non-stiff, implicit BDF fed the analytic :func:`jacobian` once it turns stiff
 (near a weakly unstable twisted state). Above the cap it is an embedded 5(4)
-Runge-Kutta pair. Damped Newton refinement of an equilibrium is dense, up to
-``DENSE_CAP``, runs at most ``NEWTON_MAX_ITER`` iterations to the residual
-``NEWTON_TOL``, and only solves: callers that want the spectrum at the
+Runge-Kutta pair. Damped Newton refinement of an equilibrium runs at most
+``NEWTON_MAX_ITER`` iterations to the residual ``NEWTON_TOL``, each step on
+the dense Jacobian, and only solves: callers that want the spectrum at the
 solution ask :func:`jacobian_spectrum`.
 
 This is the one module that needs scipy (``solve_ivp`` and the LU routines),
@@ -67,7 +69,7 @@ ORDERS = (PAIRWISE, TRIPLET, QUADRUPLET)
 ATTRACTIVE = "attractive"
 REPULSIVE = "repulsive"
 
-#: Dense eigensolver / Newton size limit (state dimension M).
+#: Largest ring (state dimension M) whose dense :func:`jacobian` is built.
 DENSE_CAP = 2000
 
 _BLOCK_ELEMS = 1 << 18   # entries per row block of the Jacobian fill (2 MiB of float64)
@@ -304,15 +306,19 @@ def rhs(theta, spec, weights, method="fft"):
 
 
 def jacobian(theta, spec, weights):
-    """Analytic Jacobian of :func:`rhs` on the pinned coordinates 1..M-1.
+    """Analytic Jacobian of :func:`rhs` in the state's own M x M frame.
 
     Every order adds its off-diagonal partials, gathered from circular
     convolutions of ``exp(i theta)``, to one unpinned M x M matrix filled in
     row blocks. Every order is invariant under a global phase shift, so the
-    diagonal is minus the row sum; pinning entry 0 subtracts row 0.
+    diagonal is minus the row sum; pinning entry 0 subtracts row 0 and zeroes
+    row and column 0, leaving the pinned Jacobian in ``[1:, 1:]``. Raises
+    :class:`ResourceLimitError` for ``M > DENSE_CAP``.
     """
     theta = _check_state(theta, weights)
     M, p, orders = weights.M, spec.p, spec.include_orders
+    if M > DENSE_CAP:
+        raise ResourceLimitError(f"dense Jacobian needs M <= {DENSE_CAP}; got M={M}")
     u = np.exp(1j * theta)
     U = np.fft.fft(u)
     B = weights.b_fft
@@ -343,9 +349,10 @@ def jacobian(theta, spec, weights):
                 2.0 * u * bR[(k - cols) % M] - np.conj(u) * buu[(k + cols) % M])).real
     np.fill_diagonal(A, 0.0)
     np.fill_diagonal(A, -A.sum(axis=1))
-    J = A[1:, 1:] - A[0, 1:]
-    J *= spec.sign_factor
-    return J
+    A[1:] -= A[0]
+    A *= spec.sign_factor
+    A[0] = A[:, 0] = 0.0
+    return A
 
 
 def _twisted_spectrum(q, spec, weights):
@@ -396,22 +403,21 @@ def jacobian_spectrum(theta, spec, weights, n_eigs=None):
     When ``theta`` is bitwise ``twisted_state(M, q)`` with ``0 <= q < M``, and
     the spec has the pairwise term, this is the closed form of the circulant
     linearization, in O(M log M) at any M. Any other state gets the dense
-    eigenvalues of the analytic :func:`jacobian`, for ``M <= DENSE_CAP``;
-    larger rings raise :class:`ResourceLimitError`. ``n_eigs`` keeps only the
-    leading values. The path taken is logged at DEBUG level on the
-    ``twistlab`` logger.
+    eigenvalues of the pinned block of :func:`jacobian`, which raises
+    :class:`ResourceLimitError` past ``DENSE_CAP``. ``n_eigs`` keeps only the
+    leading values and must be at least 1; ``None`` keeps all M - 1. The
+    path taken is logged at DEBUG level on the ``twistlab`` logger.
     """
     theta = _check_state(theta, weights)
-    M = weights.M
+    if n_eigs is not None and n_eigs < 1:
+        raise ValueError(f"n_eigs must be None or at least 1, got {n_eigs}")
     q = _twist_count(theta, spec)
     if q is not None:
-        _log.debug("jacobian_spectrum: closed-form path, M=%d, q=%d", M, q)
+        _log.debug("jacobian_spectrum: closed-form path, M=%d, q=%d", weights.M, q)
         parts = _twisted_spectrum(q, spec, weights)
     else:
-        _log.debug("jacobian_spectrum: dense path, M=%d", M)
-        if M > DENSE_CAP:
-            raise ResourceLimitError(f"dense eigensolve needs M <= {DENSE_CAP}; got M={M}")
-        parts = np.sort(np.linalg.eigvals(jacobian(theta, spec, weights)).real)[::-1]
+        _log.debug("jacobian_spectrum: dense path, M=%d", weights.M)
+        parts = np.sort(np.linalg.eigvals(jacobian(theta, spec, weights)[1:, 1:]).real)[::-1]
     return parts if n_eigs is None else parts[:n_eigs]
 
 
@@ -424,7 +430,7 @@ class IntegrationResult:
 
 
 def integrate(theta0, spec, weights, t_end, tol=1e-11):
-    """Integrate the ring until ``t_end`` or until the state is an equilibrium.
+    """Integrate the ring until ``t_end > 0`` (may be ``inf``) or an equilibrium.
 
     The integrator is adaptive, with absolute and relative tolerance ``tol``
     and a terminal equilibrium stop at ``sup |rhs| < EQUILIBRIUM_TOL``; the
@@ -435,9 +441,9 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
     - ``M <= DENSE_CAP``: LSODA (Petzold, *SIAM J. Sci. Stat. Comput.* 4,
       1983), reported as ``"lsoda"``. It takes explicit Adams steps while
       they are bounded by accuracy and switches to implicit BDF fed the
-      analytic :func:`jacobian` (zero row and column 0 in the solver's M x M
-      frame) when stability bounds them, as near a weakly unstable twisted
-      state, whose pinned spectrum spans several decades.
+      analytic :func:`jacobian`, in the solver's M x M frame, when stability
+      bounds them, as near a weakly unstable twisted state, whose pinned
+      spectrum spans several decades.
     - larger rings: the embedded 5(4) Runge-Kutta pair, ``"rk45"``.
 
     Entry 0 never drifts: its velocity is identically zero. At each accepted
@@ -446,8 +452,10 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
     finding, it evaluates the field afresh.
     """
     theta0 = _check_state(theta0, weights)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:   # NaN fails these too: a NaN tol disables error control, a NaN t_end hangs
+        raise ValueError(f"tol must be positive, got {tol}")
+    if not t_end > 0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
     method = "lsoda" if weights.M <= DENSE_CAP else "rk45"
     f = lambda th: _rhs_fft(th, spec, weights)
 
@@ -470,15 +478,7 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
     event.direction = -1
     options = {}
     if method == "lsoda":
-        M = weights.M
-
-        def jac(t, y):
-            # entry 0 has zero velocity and stays exactly 0: row and column 0 vanish
-            J = np.zeros((M, M))
-            J[1:, 1:] = jacobian(y, spec, weights)
-            return J
-
-        options["jac"] = jac
+        options["jac"] = lambda t, y: jacobian(y, spec, weights)
     sol = solve_ivp(field, (0.0, t_end), theta0, method=method.upper(),
                     rtol=tol, atol=tol, events=event, **options)
     if sol.status == -1:
@@ -506,22 +506,22 @@ class EquilibriumResult:
 def newton_equilibrium(theta_init, spec, weights):
     """Damped Newton iteration for an equilibrium of the pinned system.
 
-    Steps are halved (at most 30 times) until the residual decreases. Success
-    means ``sup |rhs| < NEWTON_TOL`` within ``NEWTON_MAX_ITER`` iterations.
-    The result holds the solution, its residual and the iteration count; its
-    stability is :func:`jacobian_spectrum` at ``result.theta``.
+    Steps solve with the pinned block of :func:`jacobian` (``M <= DENSE_CAP``)
+    and are halved (at most 30 times) until the residual decreases. Success
+    means ``sup |rhs| < NEWTON_TOL`` within ``NEWTON_MAX_ITER`` iterations; a
+    start that meets it returns after 0, at any M. The stability of the
+    result is :func:`jacobian_spectrum` at ``result.theta``.
     """
     theta = _check_state(theta_init, weights).copy()
-    M = weights.M
-    if M > DENSE_CAP:
-        raise ResourceLimitError(f"Newton refinement is dense-only; M={M} exceeds {DENSE_CAP}")
     gecon = get_lapack_funcs("gecon", (np.empty((2, 2)),))
     F = rhs(theta, spec, weights)
     res = np.max(np.abs(F))
-    for iteration in range(NEWTON_MAX_ITER):
+    for iteration in range(NEWTON_MAX_ITER + 1):
         if res < NEWTON_TOL:
             return EquilibriumResult(theta=theta, residual_norm=float(res), iterations=iteration)
-        J = jacobian(theta, spec, weights)
+        if iteration == NEWTON_MAX_ITER:
+            break
+        J = jacobian(theta, spec, weights)[1:, 1:]
         lu, piv = lu_factor(J)
         rcond = gecon(lu, np.linalg.norm(J, 1), norm="1")[0]
         if rcond < _RCOND_LIMIT:
@@ -546,9 +546,6 @@ def newton_equilibrium(theta_init, spec, weights):
                 f"Newton stalled after {iteration} iterations at residual {res:.3e}",
                 iterations=iteration, residual=float(res),
             )
-    if res < NEWTON_TOL:
-        return EquilibriumResult(theta=theta, residual_norm=float(res),
-                                 iterations=NEWTON_MAX_ITER)
     raise ConvergenceError(
         f"Newton did not reach tolerance {NEWTON_TOL:.1e} in {NEWTON_MAX_ITER} iterations; "
         f"final residual {res:.3e}",

@@ -402,6 +402,14 @@ def test_simulate_small_ring(tmp_path):
     assert (out / "state_run1.csv").read_bytes() == (out2 / "state_run1.csv").read_bytes()
 
 
+def test_simulate_needs_positive_n_runs_and_t_end(tmp_path, capsys):
+    base = ["simulate", "--M", "100", "--q", "2", "--r", "0.3"]
+    for flag, bad in (("--n-runs", "0"), ("--n-runs", "-1"), ("--t-end", "-5")):
+        code, out = run(base + [flag, bad], tmp_path, "sim")
+        assert code == 2 and "usage error" in capsys.readouterr().err, (flag, bad)
+        assert not out.exists()
+
+
 def test_simulate_default_tol_reaches_equilibrium_stop(tmp_path):
     code, out = run(["simulate", "--M", "100", "--q", "1", "--r", "0.3", "--lambda=0.5",
                      "--mu=0.3", "--t-end", "1e3", "--n-runs", "1", "--seed", "1"],
@@ -434,6 +442,21 @@ def test_equilibrium_radius_follows_sign(tmp_path):
     assert res["r"] == pytest.approx(0.11444, abs=1e-5)
     # just below the repulsive threshold the twisted state is weakly unstable
     assert res["iterations"] == 0 and 0.0 < res["leading_eigenvalues"][0] < 1e-3
+
+
+def test_equilibrium_past_dense_cap_reports_the_closed_form(tmp_path):
+    # Newton takes no step from the twisted state, so it builds no dense Jacobian
+    from twistlab import ring
+
+    M, q, r = ring.DENSE_CAP + 1, 2, 0.3
+    code, out = run(["equilibrium", "--M", str(M), "--q", str(q), "--r", str(r)],
+                    tmp_path, "eq")
+    assert code == 0
+    res = json.loads((out / "equilibrium.json").read_text())["results"]
+    assert res["iterations"] == 0 and res["residual_norm"] < ring.NEWTON_TOL
+    expected = ring.jacobian_spectrum(ring.twisted_state(M, q), ring.SystemSpec(Params(r)),
+                                      ring.build_weights(M, r), n_eigs=10)
+    assert res["leading_eigenvalues"] == [float(v) for v in expected]
 
 
 def test_equilibrium_has_no_newton_knobs(tmp_path, capsys):

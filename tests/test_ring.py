@@ -159,12 +159,15 @@ def test_jacobian_matches_finite_differences():
     spec = SystemSpec(p)
     theta = _random_state(M, 3)
     J = jacobian(theta, spec, w)
+    assert J.shape == (M, M)
+    # entry 0 is pinned: its velocity and its column vanish exactly
+    assert not J[0].any() and not J[:, 0].any()
     h = 1e-6
     fd = np.zeros_like(J)
     for m in range(1, M):
         tp = theta.copy(); tp[m] += h
         tm = theta.copy(); tm[m] -= h
-        fd[:, m - 1] = (rhs(tp, spec, w)[1:] - rhs(tm, spec, w)[1:]) / (2 * h)
+        fd[:, m] = (rhs(tp, spec, w) - rhs(tm, spec, w)) / (2 * h)
     assert np.max(np.abs(J - fd)) < 1e-5
 
 
@@ -182,13 +185,15 @@ def test_higher_order_jacobian_matches_central_differences(M, orders):
     spec = SystemSpec(p, include_orders=orders)
     higher = SystemSpec(p, include_orders=tuple(o for o in orders if o != "pairwise"))
     expected = (jacobian(theta, SystemSpec(p, include_orders=("pairwise",)), w)
-                if "pairwise" in orders else np.zeros((M - 1, M - 1)))
+                if "pairwise" in orders else np.zeros((M, M)))
     h = 1e-6
     for m in range(1, M):
         tp = theta.copy(); tp[m] += h
         tm = theta.copy(); tm[m] -= h
-        expected[:, m - 1] += (rhs(tp, higher, w)[1:] - rhs(tm, higher, w)[1:]) / (2 * h)
-    assert np.max(np.abs(jacobian(theta, spec, w) - expected)) < 1e-8
+        expected[:, m] += (rhs(tp, higher, w) - rhs(tm, higher, w)) / (2 * h)
+    J = jacobian(theta, spec, w)
+    assert not J[0].any() and not J[:, 0].any()
+    assert np.max(np.abs(J - expected)) < 1e-8
 
 
 def test_row_blocking_does_not_change_results(monkeypatch):
@@ -224,7 +229,7 @@ def test_twisted_spectrum_matches_dense_eigvals(M, p, orders, sign):
     w = build_weights(M, p.r)
     spec = SystemSpec(p, sign=sign, include_orders=orders)
     exact = jacobian_spectrum(twisted_state(M, q), spec, w)
-    dense = np.linalg.eigvals(jacobian(twisted_state(M, q), spec, w))
+    dense = np.linalg.eigvals(jacobian(twisted_state(M, q), spec, w)[1:, 1:])
     assert len(exact) == M - 1
     assert np.all(np.diff(exact) <= 0.0)
     assert np.max(np.abs(exact - np.sort(dense.real)[::-1])) <= 1e-12
@@ -274,13 +279,20 @@ def test_dense_paths_reject_rings_past_dense_cap():
     p = Params(0.18, 0.4, -0.3)
     w = build_weights(M, p.r)
     theta = twisted_state(M, 2)
+    perturbed = perturb(theta, 1e-3, seed=1)
     with pytest.raises(ResourceLimitError):
-        jacobian_spectrum(perturb(theta, 1e-3, seed=1), SystemSpec(p), w, n_eigs=4)
+        jacobian(theta, SystemSpec(p), w)
+    with pytest.raises(ResourceLimitError):
+        jacobian_spectrum(perturbed, SystemSpec(p), w, n_eigs=4)
     # the twisted state itself takes the closed form at any M
     assert np.array_equal(jacobian_spectrum(theta, SystemSpec(p), w, n_eigs=4),
                           ring._twisted_spectrum(2, SystemSpec(p), w)[:4])
+    # a Newton step needs the dense Jacobian; an equilibrium start takes none
     with pytest.raises(ResourceLimitError):
-        newton_equilibrium(theta, SystemSpec(p), w)
+        newton_equilibrium(perturbed, SystemSpec(p), w)
+    eq = newton_equilibrium(theta, SystemSpec(p), w)
+    assert eq.iterations == 0 and eq.residual_norm < ring.NEWTON_TOL
+    assert np.array_equal(eq.theta, theta)
 
 
 def test_jacobian_spectrum_dispatch(monkeypatch):
@@ -297,7 +309,7 @@ def test_jacobian_spectrum_dispatch(monkeypatch):
         (-theta, spec),                                        # q = -3
         (theta, SystemSpec(p, include_orders=("triplet",))),  # no pairwise term
     ]
-    oracles = [np.sort(np.linalg.eigvals(jacobian(th, sp, w)).real)[::-1]
+    oracles = [np.sort(np.linalg.eigvals(jacobian(th, sp, w)[1:, 1:]).real)[::-1]
                for th, sp in dense_cases]
 
     def refuse(*args):
@@ -318,6 +330,20 @@ def test_jacobian_spectrum_dispatch(monkeypatch):
     for (th, sp), oracle in zip(dense_cases, oracles):
         assert np.max(np.abs(jacobian_spectrum(th, sp, w) - oracle)) <= 1e-12
     assert len(calls) == len(dense_cases)
+
+
+def test_jacobian_spectrum_n_eigs_must_be_at_least_one():
+    M, q = 100, 3
+    p = Params(0.24)
+    w = build_weights(M, p.r)
+    theta = twisted_state(M, q)
+    for state in (theta, perturb(theta, 1e-3, seed=1)):   # closed-form and dense paths
+        full = jacobian_spectrum(state, SystemSpec(p), w)
+        assert len(full) == M - 1
+        assert np.array_equal(jacobian_spectrum(state, SystemSpec(p), w, n_eigs=1), full[:1])
+        for bad in (-1, 0):
+            with pytest.raises(ValueError, match="n_eigs"):
+                jacobian_spectrum(state, SystemSpec(p), w, n_eigs=bad)
 
 
 def test_jacobian_spectrum_logs_its_path(caplog, capsys):
@@ -342,6 +368,22 @@ def test_integrate_immediate_equilibrium_stop():
     out = integrate(twisted_state(M, q), SystemSpec(p), w, t_end=50.0)
     assert out.stop_reason == "equilibrium"
     assert out.t_reached == 0.0
+
+
+def test_integrate_needs_positive_t_end_and_tol():
+    # -1 would integrate backward and a NaN t_end would never return; inf runs to the stop
+    M, q = 100, 2
+    p = Params(0.3)
+    w = build_weights(M, p.r)
+    theta0 = perturb(twisted_state(M, q), 1e-2, seed=0)
+    for t_end in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="t_end"):
+            integrate(theta0, SystemSpec(p), w, t_end=t_end)
+    # a NaN tolerance ran to t_end unchecked, far from the equilibrium
+    with pytest.raises(ValueError, match="tol"):
+        integrate(theta0, SystemSpec(p), w, t_end=1.0, tol=float("nan"))
+    out = integrate(theta0, SystemSpec(p), w, t_end=float("inf"))
+    assert out.stop_reason == "equilibrium" and 10.0 < out.t_reached < 1e3
 
 
 def test_integrate_relaxes_to_stable_twisted_state():
