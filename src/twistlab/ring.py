@@ -24,8 +24,10 @@ Time integration is adaptive with a terminal stop at the equilibrium
 ``sup |rhs| < EQUILIBRIUM_TOL``; the ring size alone picks the method. It is
 LSODA for ``M <= DENSE_CAP``: explicit Adams steps while the ring is
 non-stiff, implicit BDF fed the analytic :func:`jacobian` once it turns stiff
-(near a weakly unstable twisted state). Above the cap it is an embedded 5(4)
-Runge-Kutta pair. Damped Newton refinement of an equilibrium runs at most
+(near a weakly unstable twisted state). Above the cap it is ETDRK4, an
+exponential integrator that takes the closed-form twisted-state
+linearization, diagonal in Fourier space, exactly and needs no matrix.
+Damped Newton refinement of an equilibrium runs at most
 ``NEWTON_MAX_ITER`` iterations to the residual ``NEWTON_TOL``, each step on
 the dense Jacobian, and only solves: callers that want the spectrum at the
 solution ask :func:`jacobian_spectrum`.
@@ -171,8 +173,8 @@ def twisted_state(M, q):
 
 def perturb(theta, amplitude, seed):
     """Add seeded uniform(-amplitude, amplitude) noise to every entry except the pinned one."""
-    if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
+    if not 0.0 <= amplitude < math.inf:   # NaN fails this too
+        raise ValueError(f"amplitude must be finite and nonnegative, got {amplitude}")
     out = np.array(theta, dtype=float, copy=True)
     rng = np.random.default_rng(seed)
     out[1:] += rng.uniform(-amplitude, amplitude, size=len(out) - 1)
@@ -355,20 +357,29 @@ def jacobian(theta, spec, weights):
     return A
 
 
-def _twisted_spectrum(q, spec, weights):
-    """Exact pinned Jacobian eigenvalues at the q-twisted state, descending.
+def _twisted_lattice(q, spec, weights):
+    """Eigenvalues of the linearization at the q-twisted state on Fourier modes ``k = 1..M-1``.
 
     The linearization at a twisted state is circulant, so its eigenvalues are
     :func:`kernel.c1` with ``w_hat(r, j)`` replaced by the lattice
-    coefficients ``B_j = (2/M) Re FFT(b)_j``, for modes ``k = 1..M-1``. Any M;
-    callers hand it specs with the pairwise term.
+    coefficients ``B_j = (2/M) Re FFT(b)_j``; mode ``k`` and mode ``M - k``
+    share a value, so the operator is diagonal in the real FFT basis too. Any
+    integer q and any M; exact for specs with the pairwise term.
     """
     M = weights.M
     B = (2.0 / M) * weights.b_fft.real
     lam = spec.p.lam if TRIPLET in spec.include_orders else 0.0
     mu = spec.p.mu if QUADRUPLET in spec.include_orders else 0.0
-    vals = kernel._twisted_c1(lambda j: B[j % M], q, np.arange(1, M), lam, mu)
-    return np.sort(spec.sign_factor * vals)[::-1]
+    return spec.sign_factor * kernel._twisted_c1(lambda j: B[j % M], q, np.arange(1, M), lam, mu)
+
+
+def _twisted_spectrum(q, spec, weights):
+    """Exact pinned Jacobian eigenvalues at the q-twisted state, descending.
+
+    The values of :func:`_twisted_lattice`, sorted: the pinned coordinates
+    drop the constant mode and keep the others.
+    """
+    return np.sort(_twisted_lattice(q, spec, weights))[::-1]
 
 
 def _repin(theta):
@@ -426,7 +437,7 @@ class IntegrationResult:
     theta: np.ndarray
     t_reached: float
     stop_reason: str                      # "equilibrium" or "t_end"
-    method: str                           # "lsoda" or "rk45"
+    method: str                           # "lsoda" (M <= DENSE_CAP) or "etdrk4"
 
 
 def integrate(theta0, spec, weights, t_end, tol=1e-11):
@@ -444,43 +455,43 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
       analytic :func:`jacobian`, in the solver's M x M frame, when stability
       bounds them, as near a weakly unstable twisted state, whose pinned
       spectrum spans several decades.
-    - larger rings: the embedded 5(4) Runge-Kutta pair, ``"rk45"``.
+    - larger rings: ETDRK4, ``"etdrk4"``, which integrates the closed-form
+      linearization at the twisted state of ``theta0``'s winding number
+      exactly and only the remainder by Runge-Kutta stages
+      (:func:`_integrate_etdrk4`).
 
-    Entry 0 never drifts: its velocity is identically zero. At each accepted
-    step the equilibrium stop reads the field the solver has just evaluated
-    at that state when there is one (rk45); otherwise, and at the stop's root
-    finding, it evaluates the field afresh.
+    Entry 0 never drifts: its velocity is identically zero. A non-finite
+    ``theta0`` raises ``ValueError``; a step that fails (LSODA) or whose
+    error estimate is NaN or whose size falls below roundoff (ETDRK4) raises
+    :class:`StiffnessError` with the time reached. At each accepted step the
+    equilibrium stop reads the field at the new state, and root finding
+    locates the stop inside the step.
     """
     theta0 = _check_state(theta0, weights)
+    if not np.all(np.isfinite(theta0)):
+        raise ValueError("theta0 must be finite")
     if not tol > 0:   # NaN fails these too: a NaN tol disables error control, a NaN t_end hangs
         raise ValueError(f"tol must be positive, got {tol}")
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    method = "lsoda" if weights.M <= DENSE_CAP else "rk45"
+    method = "lsoda" if weights.M <= DENSE_CAP else "etdrk4"
     f = lambda th: _rhs_fft(th, spec, weights)
 
-    if np.max(np.abs(f(theta0))) < EQUILIBRIUM_TOL:
+    f0 = f(theta0)
+    if np.max(np.abs(f0)) < EQUILIBRIUM_TOL:
         return IntegrationResult(theta=theta0.copy(), t_reached=0.0,
                                  stop_reason="equilibrium", method=method)
-
-    last = [None, None]  # the solver's latest (state, field)
-
-    def field(t, y):
-        last[:] = y.copy(), f(y)
-        return last[1]
+    if method == "etdrk4":
+        return _integrate_etdrk4(theta0, f0, spec, weights, t_end, tol)
 
     def event(t, y):
-        # an rk45 step ends where the solver last evaluated the field
-        fy = last[1] if np.array_equal(y, last[0]) else f(y)
-        return float(np.max(np.abs(fy)) - EQUILIBRIUM_TOL)
+        return float(np.max(np.abs(f(y))) - EQUILIBRIUM_TOL)
 
     event.terminal = True
     event.direction = -1
-    options = {}
-    if method == "lsoda":
-        options["jac"] = lambda t, y: jacobian(y, spec, weights)
-    sol = solve_ivp(field, (0.0, t_end), theta0, method=method.upper(),
-                    rtol=tol, atol=tol, events=event, **options)
+    sol = solve_ivp(lambda t, y: f(y), (0.0, t_end), theta0, method="LSODA",
+                    rtol=tol, atol=tol, events=event,
+                    jac=lambda t, y: jacobian(y, spec, weights))
     if sol.status == -1:
         raise StiffnessError(f"integration step failed: {sol.message}",
                              t_reached=float(sol.t[-1]))
@@ -494,6 +505,178 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
         reason = "t_end"
     return IntegrationResult(theta=theta, t_reached=t_reached, stop_reason=reason,
                              method=method)
+
+
+_PHI_TERMS = 17   # Taylor terms of phi_3 below |z| = 1; the first one dropped is under 1e-18
+
+
+def _phi(z):
+    """``phi_1, phi_2, phi_3`` of a real array ``z``: ETDRK4's weight functions.
+
+    ``phi_1(z) = (e^z - 1) / z`` and ``phi_{k+1}(z) = (phi_k(z) - 1/k!) / z``,
+    each with the limit ``1/k!`` at 0. The recurrence is used as written for
+    ``|z| >= 1``; below, ``phi_3 = sum_j z^j / (j + 3)!`` by Horner's rule,
+    and ``phi_k = 1/k! + z phi_{k+1}`` back up, which cancels nothing there.
+    """
+    z = np.asarray(z, dtype=float)
+    direct = np.abs(z) >= 1.0
+    zd = np.where(direct, z, 1.0)
+    d1 = np.expm1(zd) / zd
+    d2 = (d1 - 1.0) / zd
+    d3 = (d2 - 0.5) / zd
+    zs = np.where(direct, 0.0, z)
+    s3 = np.full_like(zs, 1.0 / math.factorial(_PHI_TERMS + 2))
+    for j in range(_PHI_TERMS - 2, -1, -1):
+        s3 = s3 * zs + 1.0 / math.factorial(j + 3)
+    s2 = 0.5 + zs * s3
+    s1 = 1.0 + zs * s2
+    return np.where(direct, d1, s1), np.where(direct, d2, s2), np.where(direct, d3, s3)
+
+
+def _etdrk4_state(v, stages, h, s, nu):
+    """ETDRK4's continuous extension: the state at time ``s`` of a step of length ``h`` from ``v``.
+
+    ``v`` and the four stage values ``N(v), N(a), N(b), N(c)`` of the
+    nonlinear part are real-FFT coefficients, and ``nu`` is the diagonal
+    linear part. At ``s = h`` this is the ETDRK4 step (Cox & Matthews, *J.
+    Comput. Phys.* 176, 2002, with the weights of Kassam & Trefethen, *SIAM
+    J. Sci. Comput.* 26, 2005); inside the step it is the method's continuous
+    extension.
+    """
+    n1, na, nb, nc = stages
+    p1, p2, p3 = _phi(s * nu)
+    x = s / h
+    return (np.exp(s * nu) * v + s * p1 * n1
+            + (s * x) * p2 * (2.0 * (na + nb) - 3.0 * n1 - nc)
+            + (4.0 * s * x * x) * p3 * (n1 - na - nb + nc))
+
+
+def _etdrk4_step(nonlinear, v, n1, h, nu):
+    """One ETDRK4 step of length ``h`` from ``v``, whose nonlinear part ``n1`` is known.
+
+    Evaluates ``nonlinear`` three times. Returns the new state and the four
+    stage values, which :func:`_etdrk4_state` also interpolates with.
+    """
+    z = 0.5 * h * nu
+    e2 = np.exp(z)
+    w2 = 0.5 * h * _phi(z)[0]
+    a = e2 * v + w2 * n1
+    na = nonlinear(a)
+    b = e2 * v + w2 * na
+    nb = nonlinear(b)
+    nc = nonlinear(e2 * a + w2 * (2.0 * nb - n1))
+    stages = (n1, na, nb, nc)
+    return _etdrk4_state(v, stages, h, h, nu), stages
+
+
+def _integrate_etdrk4(theta0, f0, spec, weights, t_end, tol):
+    """:func:`integrate` above ``DENSE_CAP``: adaptive ETDRK4 on the twisted-state diagonal.
+
+    The state follows the mean-free field ``f - mean(f)`` of ``f = _rhs_fft``;
+    every order is invariant under a global phase shift, so re-pinning gives
+    the pinned trajectory. Its deviation ``delta`` from the twisted state of
+    ``theta0``'s winding number q evolves as ``L delta + N``: ``L`` is that
+    state's circulant linearization, diagonal on real-FFT modes with the
+    values of :func:`_twisted_lattice` (0 on the constant mode), and
+    ``N = f - mean(f) - L delta``. The splitting is exact for any q; a q near
+    the state only keeps ``N`` small, so that steps are limited by how fast
+    ``N`` changes, not by ``L``'s fastest mode.
+
+    Error control by step doubling: a step of length h is compared with two
+    steps of h/2, which are kept; their error is estimated as the difference
+    over ``2^4 - 1``, and the step is accepted when that estimate is at most
+    1 in the RMS norm weighted by ``tol (1 + max(|theta|, |theta_new|))``, as
+    scipy weighs ``rtol = atol = tol``. The first step and the step-size
+    update are scipy's, for a fifth-order local error. One accepted step
+    costs 11 field evaluations and a rejected one 10. The equilibrium stop is
+    a root of ``sup |f| - EQUILIBRIUM_TOL`` on the continuous extension of
+    the half step where it changes sign, found by :func:`kernel._brentq` to
+    ``tol / EQUILIBRIUM_TOL`` in time: the state moves at about
+    ``EQUILIBRIUM_TOL`` there, so by about ``tol`` within that. Counts go to
+    the ``twistlab`` logger at DEBUG level.
+    """
+    M = weights.M
+    winding = float(np.sum(wrap_to_pi(np.diff(theta0, append=theta0[0]))))
+    q = round(winding / TWO_PI)
+    base = TWO_PI * q * np.arange(M) / M          # twisted_state(M, q), for any sign of q
+    nu = np.concatenate(([0.0], _twisted_lattice(q, spec, weights)[:M // 2]))
+    evals = 1                                     # f0, evaluated by the caller
+
+    def field(theta):
+        nonlocal evals
+        evals += 1
+        return _rhs_fft(theta, spec, weights)
+
+    def split(f, v):
+        F = np.fft.rfft(f)
+        F[0] = 0.0                                # the mean-free field
+        return F - nu * v
+
+    state = lambda v: base + np.fft.irfft(v, M)
+    nonlinear = lambda v: split(field(state(v)), v)
+    excess = lambda f: float(np.max(np.abs(f))) - EQUILIBRIUM_TOL
+
+    t, theta, v = 0.0, theta0, np.fft.rfft(theta0 - base)
+    n1, g = split(f0, v), excess(f0)
+    rms = lambda x: math.sqrt(float(np.mean(np.square(x))))
+    scale = tol + tol * np.abs(theta0)
+    d0, d1 = rms((theta0 - base) / scale), rms((f0 - np.mean(f0)) / scale)
+    h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1   # scipy's first guess, on delta
+    accepted = rejected = 0
+    shrunk = False
+    while True:
+        if h < 10.0 * (np.nextafter(t, np.inf) - t):
+            raise StiffnessError(f"ETDRK4 step size {h:.3e} fell below roundoff at t={t:.6g}",
+                                 t_reached=t)
+        last = t + h >= t_end
+        if last:
+            h = t_end - t
+        v_full, _ = _etdrk4_step(nonlinear, v, n1, h, nu)
+        v_mid, first = _etdrk4_step(nonlinear, v, n1, 0.5 * h, nu)
+        f_mid = field(state(v_mid))
+        v_new, second = _etdrk4_step(nonlinear, v_mid, split(f_mid, v_mid), 0.5 * h, nu)
+        theta_new = state(v_new)
+        scale = tol + tol * np.maximum(np.abs(theta), np.abs(theta_new))
+        err = rms(np.fft.irfft(v_new - v_full, M) / scale) / 15.0
+        if math.isnan(err):
+            raise StiffnessError(f"ETDRK4 error estimate is NaN at t={t:.6g}", t_reached=t)
+        if err > 1.0:
+            h *= max(0.2, 0.9 * err ** -0.2)
+            rejected += 1
+            shrunk = True
+            continue
+        factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+        if shrunk:
+            factor = min(1.0, factor)
+        t_old, t = t, (t_end if last else t + h)
+        accepted += 1
+        f_new = field(theta_new)
+        g_new = excess(f_new)
+        if g_new <= 0.0 or last:
+            break
+        theta, v, n1, g = theta_new, v_new, split(f_new, v_new), g_new
+        h *= factor
+        shrunk = False
+    roots = 0
+    if g_new <= 0.0:
+        # the stop lies in the first half step if sup |f| is already below there
+        g_mid = excess(f_mid)
+        if g_mid <= 0.0:
+            a, b, v_a, stages, g_a, g_b = t_old, t_old + 0.5 * h, v, first, g, g_mid
+        else:
+            a, b, v_a, stages, g_a, g_b = t_old + 0.5 * h, t, v_mid, second, g_mid, g_new
+        at = lambda tt: state(_etdrk4_state(v_a, stages, 0.5 * h, tt - a, nu))
+        before = evals
+        t = kernel._brentq(
+            lambda tt: g_a if tt == a else g_b if tt == b else excess(field(at(tt))),
+            a, b, xtol=tol / EQUILIBRIUM_TOL)
+        roots = evals - before
+        theta_new = at(t)
+    _log.debug("integrate: etdrk4, %d steps, %d rejected, %d rhs evaluations, %d in the stop",
+               accepted, rejected, evals, roots)
+    return IntegrationResult(theta=theta_new - theta_new[0], t_reached=float(t),
+                             stop_reason="equilibrium" if g_new <= 0.0 else "t_end",
+                             method="etdrk4")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,14 @@
 These deliberately avoid the package's closed-form coefficient algebra:
 integrals are evaluated by Gauss-Legendre panels across the kernel window
 plus periodic trapezoid sums over the circle, and higher derivatives come
-from finite differences of the discretized right-hand side.
+from finite differences of the discretized right-hand side. Time
+integration is checked against scipy's RK45, and the exponential
+integrator's weight functions against their power series in decimal
+arithmetic.
 """
+
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -208,3 +214,34 @@ def alt_coupling_eigenvalue_fd(family, q, r, k, M=512, eps=1e-5, m_weights=None)
     fm = field(base - eps * vec)
     jv = (fp - fm) / (2.0 * eps)
     return 2.0 * np.mean(jv * vec)
+
+
+def phi_series(k, z, digits=50):
+    """``phi_k(z) = sum_j z^j / (j + k)!`` summed in ``digits``-digit decimal arithmetic.
+
+    ``z`` is taken at its exact binary value; the sum runs past the largest
+    term (``j > |z|``) until a term drops below ``10^-digits`` of the total.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        x = Decimal(float(z))
+        term = Decimal(1) / math.factorial(k)
+        total, j = term, 0
+        while j <= abs(x) or abs(term) > abs(total) * Decimal(10) ** -digits:
+            j += 1
+            term = term * x / (j + k)
+            total += term
+        return float(total)
+
+
+def rk45_final_state(theta0, spec, weights, t_end, tol):
+    """State at ``t_end`` by scipy's RK45 on the pinned field, ``rtol = atol = tol``, no stop."""
+    from scipy.integrate import solve_ivp
+
+    from twistlab import ring
+
+    sol = solve_ivp(lambda t, y: ring.rhs(y, spec, weights), (0.0, t_end), theta0,
+                    method="RK45", rtol=tol, atol=tol, t_eval=[t_end])
+    assert sol.status == 0, sol.message
+    theta = sol.y[:, -1]
+    return theta - theta[0]

@@ -410,6 +410,16 @@ def test_simulate_needs_positive_n_runs_and_t_end(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_simulate_rejects_non_finite_amplitude(tmp_path, capsys):
+    # a NaN or infinite amplitude reached numpy's uniform and exited 1 with a traceback
+    base = ["simulate", "--M", "100", "--q", "2", "--r", "0.3"]
+    for bad in ("nan", "inf", "-1e-3"):
+        code, out = run(base + [f"--amplitude={bad}"], tmp_path, "sim")
+        err = capsys.readouterr().err
+        assert code == 2 and "usage error" in err and "amplitude" in err, bad
+        assert not out.exists()
+
+
 def test_simulate_default_tol_reaches_equilibrium_stop(tmp_path):
     code, out = run(["simulate", "--M", "100", "--q", "1", "--r", "0.3", "--lambda=0.5",
                      "--mu=0.3", "--t-end", "1e3", "--n-runs", "1", "--seed", "1"],

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from twistlab.errors import (
     NoBifurcationError,
     NoThresholdError,
     ResourceLimitError,
+    StiffnessError,
 )
 from twistlab.kernel import Params
 from twistlab.ring import (
@@ -29,6 +31,8 @@ from twistlab.ring import (
     twisted_state,
     wrap_to_pi,
 )
+
+from oracles import phi_series, rk45_final_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -437,36 +441,56 @@ def _attractive_relaxation_case():
     return spec, w, perturb(twisted_state(M, q), 1e-4, seed=12)
 
 
-def _integrate_rk45(theta0, spec, weights, **kwargs):
-    """``integrate`` on the rk45 path, which rings above ``DENSE_CAP`` take."""
+def _integrate_etdrk4(theta0, spec, weights, **kwargs):
+    """``integrate`` on the etdrk4 path, which rings above ``DENSE_CAP`` take."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ring, "DENSE_CAP", 0)
         out = integrate(theta0, spec, weights, **kwargs)
-    assert out.method == "rk45"
+    assert out.method == "etdrk4"
     return out
 
 
-def test_integrate_stop_reads_the_solvers_field_at_accepted_steps(monkeypatch):
-    # rk45: beyond the solver's own evaluations, integrate evaluates the field
-    # once up front, once for the stop at t = 0 and at most once per
-    # root-finding point of the stop; an accepted step costs the stop nothing
-    counts, solver = _count_integrate_calls(monkeypatch)
+def _etdrk4_log(caplog):
+    """(steps, rejected, rhs evaluations, evaluations in the stop) of the last etdrk4 run."""
+    (msg,) = [r.getMessage() for r in caplog.records if r.name == "twistlab"][-1:]
+    m = re.fullmatch(r"integrate: etdrk4, (\d+) steps, (\d+) rejected, "
+                     r"(\d+) rhs evaluations, (\d+) in the stop", msg)
+    return tuple(int(g) for g in m.groups())
+
+
+def test_integrate_etdrk4_counts_every_field_evaluation(monkeypatch, caplog):
+    # one evaluation up front, ten per attempted step (three stages for the
+    # full step and for each half step, and the midpoint), one at each
+    # accepted state, one per interior point of the stop's root finding
+    counts, _ = _count_integrate_calls(monkeypatch)
+    step_calls = []
+    step = ring._etdrk4_step
+    monkeypatch.setattr(ring, "_etdrk4_step", lambda *a: step_calls.append(a[3]) or step(*a))
     spec, w, theta0 = _attractive_relaxation_case()
-
-    out = _integrate_rk45(theta0, spec, w, t_end=5.0, tol=1e-10)
-    assert out.stop_reason == "t_end" and counts["root"] == 0
-    assert counts["rhs"] == solver[-1].nfev + 2
-
-    counts.update(rhs=0, root=0)
-    out = _integrate_rk45(theta0, spec, w, t_end=1e7, tol=1e-10)
-    steps = len(solver[-1].t) - 1
-    assert out.stop_reason == "equilibrium" and 0 < counts["root"] < steps
-    assert solver[-1].nfev + 2 <= counts["rhs"] <= solver[-1].nfev + 2 + counts["root"]
+    # from phases far off the twisted state some steps are rejected
+    M, r = 120, 0.3
+    far = perturb(twisted_state(M, 0), 3.0, seed=2), SystemSpec(Params(r)), build_weights(M, r)
+    cases = [((theta0, spec, w), 5.0, "t_end"), ((theta0, spec, w), float("inf"), "equilibrium"),
+             (far, 100.0, "equilibrium")]
+    logged = []
+    for (th, sp, wt), t_end, reason in cases:
+        counts["rhs"] = 0
+        step_calls.clear()
+        with caplog.at_level(logging.DEBUG, logger="twistlab"):
+            out = _integrate_etdrk4(th, sp, wt, t_end=t_end, tol=1e-10)
+        steps, rejected, evals, in_stop = _etdrk4_log(caplog)
+        assert out.stop_reason == reason and steps > 0
+        assert len(step_calls) == 3 * (steps + rejected)
+        assert counts["rhs"] == evals == 1 + 10 * (steps + rejected) + steps + in_stop
+        assert (in_stop > 0) == (reason == "equilibrium")
+        assert reason == "t_end" or np.max(np.abs(rhs(out.theta, sp, wt))) < 1.01e-10
+        logged.append(rejected)
+    assert logged[0] == logged[1] == 0 < logged[2]
 
 
 def test_integrate_lsoda_stop_costs_one_field_per_accepted_step(monkeypatch):
     # lsoda does not end a step with a field evaluation at the state it
-    # accepts, so the stop pays one per step on top of the rk45 bound
+    # accepts, so the stop pays one per accepted step and one per root point
     counts, solver = _count_integrate_calls(monkeypatch)
     spec, w, theta0 = _attractive_relaxation_case()
 
@@ -480,28 +504,6 @@ def test_integrate_lsoda_stop_costs_one_field_per_accepted_step(monkeypatch):
     assert sol.njev > 0
 
 
-def test_integrate_default_matches_rk45():
-    # attractive relaxation: the stop fires anywhere sup |rhs| < 1e-10, which
-    # on this ring's slowest decaying mode (rate ~ 1.4e-4) is up to ~7e-7 from
-    # the twisted state, so the two stopping states agree to 1e-6
-    spec, w, theta0 = _attractive_relaxation_case()
-    a = integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
-    b = _integrate_rk45(theta0, spec, w, t_end=1e7, tol=1e-10)
-    assert (a.method, a.stop_reason, b.stop_reason) == ("lsoda", "equilibrium", "equilibrium")
-    assert np.max(np.abs(a.theta - b.theta)) < 1e-6
-    # short repulsive run past the finite threshold, to a fixed end time: both
-    # methods meet tol 1e-11, so they agree to 1e-8
-    q, M = 5, 120
-    r = spectrum.threshold(q, spectrum.REPULSIVE_R0) - 0.01
-    spec, w = SystemSpec(Params(r), sign=ring.REPULSIVE), build_weights(M, r)
-    assert jacobian_spectrum(twisted_state(M, q), spec, w)[0] > 0.0
-    theta0 = perturb(twisted_state(M, q), 1e-2, seed=3)
-    a = integrate(theta0, spec, w, t_end=50.0)
-    b = _integrate_rk45(theta0, spec, w, t_end=50.0)
-    assert (a.method, a.stop_reason, b.stop_reason) == ("lsoda", "t_end", "t_end")
-    assert np.max(np.abs(a.theta - b.theta)) < 1e-8
-
-
 def test_integrate_default_builds_no_jacobian_while_not_stiff(monkeypatch):
     # far from any threshold the ring relaxes in t ~ 100 with steps bounded by
     # accuracy: the default stays explicit and never pays for a dense LU
@@ -513,8 +515,99 @@ def test_integrate_default_builds_no_jacobian_while_not_stiff(monkeypatch):
     assert solver[-1].njev == 0 and solver[-1].nlu == 0
 
 
+def test_integrate_lsoda_matches_etdrk4():
+    # attractive relaxation: the stop fires anywhere sup |rhs| < 1e-10, which
+    # on this ring's slowest decaying mode (rate ~ 1.4e-4) is up to ~7e-7 from
+    # the twisted state, so the two stopping states agree to 1e-6
+    spec, w, theta0 = _attractive_relaxation_case()
+    a = integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
+    b = _integrate_etdrk4(theta0, spec, w, t_end=1e7, tol=1e-10)
+    assert (a.method, a.stop_reason, b.stop_reason) == ("lsoda", "equilibrium", "equilibrium")
+    assert np.max(np.abs(a.theta - b.theta)) < 1e-6
+    # short repulsive run past the finite threshold, to a fixed end time: both
+    # methods meet tol 1e-11, so they agree to 1e-8
+    q, M = 5, 120
+    r = spectrum.threshold(q, spectrum.REPULSIVE_R0) - 0.01
+    spec, w = SystemSpec(Params(r), sign=ring.REPULSIVE), build_weights(M, r)
+    assert jacobian_spectrum(twisted_state(M, q), spec, w)[0] > 0.0
+    theta0 = perturb(twisted_state(M, q), 1e-2, seed=3)
+    a = integrate(theta0, spec, w, t_end=50.0)
+    b = _integrate_etdrk4(theta0, spec, w, t_end=50.0)
+    assert (a.method, a.stop_reason, b.stop_reason) == ("lsoda", "t_end", "t_end")
+    assert b.t_reached == 50.0 and b.theta[0] == 0.0
+    assert np.max(np.abs(a.theta - b.theta)) < 1e-8
+
+
+def test_integrate_etdrk4_matches_scipy_rk45():
+    # the large_ring spec on a ring 16 times smaller, to a fixed end time;
+    # both meet tol 1e-11, so they agree to 1e-8
+    M, q, p = 4096, 8, Params(0.3, 6.0, 0.2)
+    spec, w = SystemSpec(p), build_weights(M, p.r)
+    assert spec.include_orders == ring.ORDERS
+    theta0 = perturb(twisted_state(M, q), 1e-2, seed=1)
+    out = integrate(theta0, spec, w, t_end=200.0)
+    assert (out.method, out.stop_reason, out.t_reached) == ("etdrk4", "t_end", 200.0)
+    assert np.max(np.abs(out.theta - rk45_final_state(theta0, spec, w, 200.0, 1e-11))) < 1e-8
+
+
+def test_integrate_etdrk4_runs_to_the_stop_without_t_end():
+    # the large_ring spec, whose twisted state is stable, past the cap
+    M, q, p = DENSE_CAP + 1, 8, Params(0.3, 6.0, 0.2)
+    spec, w = SystemSpec(p), build_weights(M, p.r)
+    assert jacobian_spectrum(twisted_state(M, q), spec, w, n_eigs=1)[0] < 0.0
+    theta0 = perturb(twisted_state(M, q), 1e-2, seed=0)
+    out = integrate(theta0, spec, w, t_end=float("inf"))
+    assert (out.method, out.stop_reason) == ("etdrk4", "equilibrium")
+    assert 10.0 < out.t_reached < 1e3 and out.theta[0] == 0.0
+    assert np.max(np.abs(rhs(out.theta, spec, w))) < 1.01e-10
+    assert np.max(np.abs(wrap_to_pi(out.theta - twisted_state(M, q)))) < 1e-7
+
+
+def test_phi_functions_match_decimal_series():
+    zs = [0.0]
+    for m in (1e-8, 1e-4, 0.1, 0.5, 0.999999, 1.0, 1.000001, 2.0, 5.0, 20.0, 50.0):
+        zs += [m, -m]
+    zs = np.array([z for z in zs if -50.0 <= z <= 20.0])
+    for k, got in enumerate(ring._phi(zs), start=1):
+        ref = np.array([phi_series(k, z) for z in zs])
+        assert np.max(np.abs(got - ref) / ref) < 2e-15, k
+
+
+def test_integrate_etdrk4_failures_are_typed(monkeypatch):
+    spec, w, theta0 = _attractive_relaxation_case()
+    for bad in (np.nan, np.inf):
+        theta = theta0.copy()
+        theta[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _integrate_etdrk4(theta, spec, w, t_end=10.0)
+    rhs_fft = ring._rhs_fft
+    calls = [0]
+
+    def fails_later(make_bad):
+        def field(theta, *args):
+            calls[0] += 1
+            f = rhs_fft(theta, *args)
+            return make_bad(f) if calls[0] > 40 else f
+        return field
+
+    # a NaN field mid-run: the error estimate turns NaN, which must not
+    # shrink the step forever
+    monkeypatch.setattr(ring, "_rhs_fft", fails_later(lambda f: f * np.nan))
+    with pytest.raises(StiffnessError, match="NaN") as info:
+        _integrate_etdrk4(theta0, spec, w, t_end=1e7)
+    assert 0.0 < info.value.t_reached < 1e7
+    # a finite field that no step size resolves: the step collapses to roundoff
+    noise = np.random.default_rng(0)
+    calls[0] = 0
+    monkeypatch.setattr(ring, "_rhs_fft",
+                        fails_later(lambda f: f + 1e10 * noise.standard_normal(len(f))))
+    with pytest.raises(StiffnessError, match="roundoff") as info:
+        _integrate_etdrk4(theta0, spec, w, t_end=1e7)
+    assert 0.0 < info.value.t_reached < 1e7
+
+
 def test_integrate_method_follows_dense_cap(monkeypatch):
-    # lsoda gets the analytic Jacobian up to the cap; rk45 takes larger rings
+    # lsoda gets the analytic Jacobian up to the cap; etdrk4 takes larger rings
     calls = []
     solve_ivp = ring.solve_ivp
 
@@ -526,7 +619,7 @@ def test_integrate_method_follows_dense_cap(monkeypatch):
     p = Params(0.2)
     theta = perturb(twisted_state(DENSE_CAP + 1, 2), 1e-3, seed=1)
     out = integrate(theta, SystemSpec(p), build_weights(DENSE_CAP + 1, p.r), t_end=1e-3)
-    assert out.method == "rk45" and calls == [("RK45", False)]
+    assert out.method == "etdrk4" and calls == []
     # a ring of exactly the cap's size still takes lsoda (small cap, same rule)
     monkeypatch.setattr(ring, "DENSE_CAP", 60)
     out = integrate(perturb(twisted_state(60, 2), 1e-3, seed=1), SystemSpec(p),
@@ -642,6 +735,9 @@ def test_symmetry_shift_conjugates_flow():
 def test_perturb_contract():
     theta = twisted_state(64, 3)
     assert np.array_equal(perturb(theta, 0.0, seed=1), theta)
+    for bad in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="amplitude"):
+            perturb(theta, bad, seed=1)
     a = perturb(theta, 1e-2, seed=42)
     b = perturb(theta, 1e-2, seed=42)
     assert np.array_equal(a, b)
