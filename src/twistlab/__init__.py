@@ -19,8 +19,8 @@ import os
 
 # One OpenBLAS thread unless the caller chose a count: the LU factorizations of
 # Newton solves and of LSODA's stiff steps then give the same bits on any number
-# of cores. It takes effect when the package is imported before numpy, as the
-# console script does.
+# of cores. A library loaded after this line reads it; one that numpy or scipy
+# loaded earlier is set to one thread when ``ring`` loads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import bifurcation, errors, kernel, spectrum

@@ -473,13 +473,15 @@ def _threshold_report(q, kind):
     return curve, bifurcation.gamma_pair(curve)
 
 
-def _branch_errors(curve, amp, r, M):
+def _branch_errors(curve, amp, r, M, start=None):
     """Order-1 and order-2 profiles on the M-grid, the Newton equilibrium at r
-    from the first, and its sup-norm distances to both."""
+    from ``start`` (the first profile by default), and its sup-norm distances
+    to both."""
     from . import ring
 
     z1, z2 = (bifurcation.branch_profile(curve, amp, order, M) for order in (1, 2))
-    eq = ring.newton_equilibrium(z1.values, ring.SystemSpec(Params(r)), ring.build_weights(M, r))
+    eq = ring.newton_equilibrium(z1.values if start is None else start,
+                                 ring.SystemSpec(Params(r)), ring.build_weights(M, r))
     return (z1, z2), eq, [float(np.max(np.abs(eq.theta - z.values))) for z in (z1, z2)]
 
 
@@ -515,12 +517,20 @@ def _run_branch(cfg):
     csvs["equilibrium"] = _state_csv(eq.theta)
 
     if p.get("error_scaling"):
+        # natural-parameter continuation in growing |s|: each row after the
+        # first starts from the last equilibrium's deviation from the twisted
+        # state, rescaled to the new amplitude, so that Newton stays on the
+        # branch instead of falling back onto the twisted state
         s_values = [-1e-5, -3e-5, -1e-4, -3e-4, -1e-3]
-        err_rows = []
+        twisted = ring.twisted_state(M, q)
+        err_rows, start, amp_prev = [], None, None
         for s in s_values:
             amp_s = bifurcation.a_app(report, s)
-            _, _, (err1_s, err2_s) = _branch_errors(curve, amp_s, r_m + s, M)
+            if start is not None:
+                start = twisted + (start - twisted) * (amp_s / amp_prev)
+            _, eq_s, (err1_s, err2_s) = _branch_errors(curve, amp_s, r_m + s, M, start)
             err_rows.append([s, amp_s, err1_s, err2_s])
+            start, amp_prev = eq_s.theta, amp_s
         logs = np.log(np.abs(np.array(s_values)))
         slope1 = float(np.polyfit(logs, np.log([r[2] for r in err_rows]), 1)[0])
         slope2 = float(np.polyfit(logs, np.log([r[3] for r in err_rows]), 1)[0])

@@ -16,16 +16,20 @@ Spectra are exact, and :func:`jacobian_spectrum` is the one spectrum call:
 the closed form when it is handed a twisted state (circulant linearization,
 any M), dense eigenvalues of the analytic :func:`jacobian` at any other state.
 That Jacobian has one frame, the state's own M x M with row and column 0
-zero, built only up to ``DENSE_CAP``: LSODA takes it as it is, Newton and the
-dense spectrum read its pinned block ``[1:, 1:]``. Ring shifts are
-:func:`symmetry_shift`, which :func:`best_shift_residual` also searches.
+zero, built only up to ``DENSE_CAP``: LSODA takes it as it is where it keeps
+the dense Jacobian, Newton and the dense spectrum read its pinned block
+``[1:, 1:]``. Ring shifts are :func:`symmetry_shift`, which
+:func:`best_shift_residual` also searches.
 
 Time integration is adaptive with a terminal stop at the equilibrium
 ``sup |rhs| < EQUILIBRIUM_TOL``; the ring size alone picks the method. It is
 LSODA for ``M <= DENSE_CAP``: explicit Adams steps while the ring is
-non-stiff, implicit BDF fed the analytic :func:`jacobian` once it turns stiff
-(near a weakly unstable twisted state). Above the cap it is ETDRK4, an
-exponential integrator that takes the closed-form twisted-state
+non-stiff, implicit BDF fed an analytic Jacobian once it turns stiff (near a
+weakly unstable twisted state). A pairwise ring whose coupling range is
+short enough integrates its unpinned field in the fold order
+``0, M-1, 1, M-2, ...``, where that Jacobian is a band (:func:`_band_jacobian`);
+every other spec takes the dense :func:`jacobian`. Above the cap it is
+ETDRK4, an exponential integrator that takes the closed-form twisted-state
 linearization, diagonal in Fourier space, exactly and needs no matrix.
 Damped Newton refinement of an equilibrium runs at most
 ``NEWTON_MAX_ITER`` iterations to the residual ``NEWTON_TOL``, each step on
@@ -35,17 +39,24 @@ solution ask :func:`jacobian_spectrum`.
 This is the one module that needs scipy (``solve_ivp`` and the LU routines),
 and it imports it at module level. The package imports this module on first
 use of ``twistlab.ring`` or of a finite-ring name it re-exports, so work on
-the closed forms alone never loads scipy. Finite thresholds are refined by
-the package's own Brent solver, ``kernel._brentq``.
+the closed forms alone never loads scipy. Loading it also holds the bundled
+OpenBLAS libraries to the package's one-thread pin when scipy was imported
+first (:func:`_pin_openblas_threads`). Finite thresholds are refined by the
+package's own Brent solver, ``kernel._brentq``.
 """
 
+import ctypes
+import glob
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+import scipy
+from scipy.integrate import LSODA, solve_ivp
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg import get_lapack_funcs
 
@@ -86,6 +97,36 @@ THRESHOLD_XTOL = 1e-6
 #: Iteration limit and residual target ``sup |rhs|`` of :func:`newton_equilibrium`.
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-12
+
+
+def _pin_openblas_threads():
+    """One thread in the OpenBLAS libraries bundled with numpy and scipy.
+
+    ``OPENBLAS_NUM_THREADS`` is read when a library loads, so the package's
+    pin misses a library that numpy or scipy loaded before twistlab was
+    imported. Each wheel's library, found next to its package, exports a
+    setter for the running library; a build without it is left as it is,
+    with a DEBUG line.
+    """
+    for package, symbol in ((scipy, "scipy_openblas_set_num_threads"),
+                            (np, "scipy_openblas_set_num_threads64_")):
+        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                            f"{package.__name__}.libs")
+        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+            try:
+                setter = getattr(ctypes.CDLL(path), symbol)
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            break
+        else:
+            _log.debug("no %s in %s; its OpenBLAS keeps its thread count", symbol, libs)
+
+
+# the package set 1 unless the caller chose a count, which then wins
+if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+    _pin_openblas_threads()
 
 
 @dataclass(frozen=True)
@@ -228,7 +269,8 @@ def _check_state(theta, weights):
     return theta
 
 
-def _rhs_fft(theta, spec, weights):
+def _rhs_fft(theta, spec, weights, pinned=True):
+    """The field of :func:`rhs`; ``pinned=False`` skips subtracting entry 0's velocity."""
     M = weights.M
     u = np.exp(1j * theta)
     U = np.fft.fft(u)
@@ -262,6 +304,8 @@ def _rhs_fft(theta, spec, weights):
         else:
             conv = np.fft.ifft(Y)[(2 * np.arange(M)) % M]
         G = G + p.lam * (np.conj(u) ** 2 * conv).imag / M**2
+    if not pinned:
+        return spec.sign_factor * G
     out = spec.sign_factor * (G - G[0])
     out[0] = 0.0
     return out
@@ -357,6 +401,54 @@ def jacobian(theta, spec, weights):
     return A
 
 
+def _band_jacobian(spec, weights):
+    """LSODA's banded Jacobian of a pairwise ring, or None where the dense one is kept.
+
+    For pairwise coupling the unpinned field ``sign G`` has the Jacobian
+    ``b_d cos(theta_{k+d} - theta_k) / M`` between sites ``d`` apart, minus
+    the row sums on the diagonal: a circulant band of half-width ``p``, the
+    largest ring distance with a nonzero weight (the fractional edge weight
+    counts). The fold order ``0, M-1, 1, M-2, ...`` turns it into a true band
+    of half-width ``bw = 2 p``. Triplet and quadruplet terms couple distant
+    sites, and a band whose packed storage ``(2 bw + 1) M`` is not below the
+    dense ``M^2`` does not pay (there LSODA's band LU measured as costly as
+    the dense one); both get None.
+
+    Returns ``(order, pos, bw, fill)``: the folded state is
+    ``y = theta[order]``, so ``theta = y[pos]``, and ``fill(y)`` is the
+    Jacobian at ``y`` in LAPACK's packed band storage,
+    ``packed[bw + i - j, j] = J[i, j]``, built in O(p M).
+    """
+    M, b = weights.M, weights.b
+    if spec.include_orders != (PAIRWISE,):
+        return None
+    d = np.arange(M)
+    p = int(np.minimum(d, M - d)[b != 0.0].max())
+    bw = 2 * p
+    if 2 * bw + 1 >= M:
+        return None
+    order = np.empty(M, dtype=np.intp)
+    order[0::2] = d[:(M + 1) // 2]
+    order[1::2] = d[:(M - 1) // 2:-1]
+    pos = np.argsort(order)                       # folded position of each site
+    nbr = (d + d[1:p + 1, None]) % M              # row d - 1: the site d ahead of each site
+    i, j = pos, pos[nbr]
+    upper, lower = (bw + i - j) * M + j, (bw + j - i) * M + i
+    diagonal = bw * M + pos
+    coupling = (spec.sign_factor / M) * b[1:p + 1, None]
+
+    def fill(y):
+        theta = y[pos]
+        c = coupling * np.cos(theta[nbr] - theta)
+        packed = np.zeros((2 * bw + 1) * M)
+        packed[upper] = c
+        packed[lower] = c
+        packed[diagonal] = -(c.sum(axis=0) + np.bincount(nbr.ravel(), c.ravel(), M))
+        return packed.reshape(2 * bw + 1, M)
+
+    return order, pos, bw, fill
+
+
 def _twisted_lattice(q, spec, weights):
     """Eigenvalues of the linearization at the q-twisted state on Fourier modes ``k = 1..M-1``.
 
@@ -432,6 +524,29 @@ def jacobian_spectrum(theta, spec, weights, n_eigs=None):
     return parts if n_eigs is None else parts[:n_eigs]
 
 
+class _LSODA(LSODA):
+    """scipy's LSODA, handing every solve of one size in a thread the same work arrays.
+
+    scipy 1.17.1's LSODA step takes a reference to the solver's work arrays
+    at every step and never returns it, so each solve leaks them for good:
+    8.1 MB at M = 1000 with the dense Jacobian, 5.7 MB with the fig6 band.
+    Each solve copies its fresh arrays into the kept ones, so it starts from
+    the same values; the leak is then one pair per size and thread.
+    """
+
+    _kept = threading.local()
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        lsoda, kept = self._lsoda_solver._integrator, self._kept.__dict__
+        for i, name in ((4, "rwork"), (5, "iwork")):
+            fresh = getattr(lsoda, name)
+            work = kept.setdefault((name, fresh.size), fresh)
+            work[...] = fresh
+            setattr(lsoda, name, work)
+            lsoda.call_args[i] = work
+
+
 @dataclass(frozen=True)
 class IntegrationResult:
     theta: np.ndarray
@@ -451,21 +566,29 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
 
     - ``M <= DENSE_CAP``: LSODA (Petzold, *SIAM J. Sci. Stat. Comput.* 4,
       1983), reported as ``"lsoda"``. It takes explicit Adams steps while
-      they are bounded by accuracy and switches to implicit BDF fed the
-      analytic :func:`jacobian`, in the solver's M x M frame, when stability
-      bounds them, as near a weakly unstable twisted state, whose pinned
-      spectrum spans several decades.
+      they are bounded by accuracy and switches to implicit BDF fed an
+      analytic Jacobian when stability bounds them, as near a weakly
+      unstable twisted state, whose pinned spectrum spans several decades.
+      A pairwise ring with a narrow coupling band (:func:`_band_jacobian`)
+      integrates the unpinned field ``sign G`` in the fold order, where its
+      Jacobian is a band that LSODA factors in O(bw^2 M) (the pinned
+      Jacobian is dense through its rank-one pinning term). Pairwise
+      coupling leaves the mean phase fixed, and the result is re-pinned as
+      ``theta - theta[0]``. Every other spec integrates the pinned field
+      with the dense :func:`jacobian`, in the solver's M x M frame. The
+      storage, the half-bandwidth and the solver's counts are logged at
+      DEBUG level on the ``twistlab`` logger.
     - larger rings: ETDRK4, ``"etdrk4"``, which integrates the closed-form
       linearization at the twisted state of ``theta0``'s winding number
       exactly and only the remainder by Runge-Kutta stages
       (:func:`_integrate_etdrk4`).
 
-    Entry 0 never drifts: its velocity is identically zero. A non-finite
+    The state returned is pinned: its entry 0 is exactly 0. A non-finite
     ``theta0`` raises ``ValueError``; a step that fails (LSODA) or whose
     error estimate is NaN or whose size falls below roundoff (ETDRK4) raises
     :class:`StiffnessError` with the time reached. At each accepted step the
-    equilibrium stop reads the field at the new state, and root finding
-    locates the stop inside the step.
+    equilibrium stop reads the pinned field at the new state, and root
+    finding locates the stop inside the step.
     """
     theta0 = _check_state(theta0, weights)
     if not np.all(np.isfinite(theta0)):
@@ -484,23 +607,37 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
     if method == "etdrk4":
         return _integrate_etdrk4(theta0, f0, spec, weights, t_end, tol)
 
+    band = _band_jacobian(spec, weights)
+    if band is None:
+        y0, sites, finish = theta0, (lambda y: y), _repin
+        field = lambda t, y: f(y)
+        options = {"jac": lambda t, y: jacobian(y, spec, weights)}
+        storage = "dense jacobian"
+    else:
+        order, pos, bw, fill = band
+        y0, sites, finish = theta0[order], (lambda y: y[pos]), (lambda y: y[pos] - y[0])
+        field = lambda t, y: _rhs_fft(y[pos], spec, weights, pinned=False)[order]
+        options = {"jac": lambda t, y: fill(y), "lband": bw, "uband": bw}
+        storage = f"band jacobian, half-bandwidth {bw}"
+
     def event(t, y):
-        return float(np.max(np.abs(f(y))) - EQUILIBRIUM_TOL)
+        return float(np.max(np.abs(f(sites(y)))) - EQUILIBRIUM_TOL)
 
     event.terminal = True
     event.direction = -1
-    sol = solve_ivp(lambda t, y: f(y), (0.0, t_end), theta0, method="LSODA",
-                    rtol=tol, atol=tol, events=event,
-                    jac=lambda t, y: jacobian(y, spec, weights))
+    sol = solve_ivp(field, (0.0, t_end), y0, method=_LSODA, rtol=tol, atol=tol,
+                    events=event, **options)
+    _log.debug("integrate: lsoda, %s, %d steps, %d rhs evaluations, %d jacobians",
+               storage, len(sol.t) - 1, sol.nfev, sol.njev)
     if sol.status == -1:
         raise StiffnessError(f"integration step failed: {sol.message}",
                              t_reached=float(sol.t[-1]))
     if sol.status == 1:
-        theta = _repin(sol.y_events[0][0])
+        theta = finish(sol.y_events[0][0])
         t_reached = float(sol.t_events[0][0])
         reason = "equilibrium"
     else:
-        theta = _repin(sol.y[:, -1])
+        theta = finish(sol.y[:, -1])
         t_reached = float(sol.t[-1])
         reason = "t_end"
     return IntegrationResult(theta=theta, t_reached=t_reached, stop_reason=reason,

@@ -230,16 +230,26 @@ def test_branch_csv_header(tmp_path):
     assert eq_lines[0] == "index,x,theta"
 
 
-def test_branch_error_scaling(tmp_path):
+def test_branch_error_scaling(tmp_path, monkeypatch):
+    from twistlab import ring
+
+    solved = []
+    newton = ring.newton_equilibrium
+    monkeypatch.setattr(ring, "newton_equilibrium",
+                        lambda *a: solved.append(newton(*a)) or solved[-1])
     code, out = run(["branch", "--q", "5", "--s0=-1e-4", "--M", "200", "--error-scaling"],
                     tmp_path, "es")
     assert code == 0
     lines = (out / "error-scaling.csv").read_text().splitlines()
     assert lines[0] == "s,a_app,err_z1,err_z2"
-    assert [float(line.split(",")[0]) for line in lines[1:]] == [-1e-5, -3e-5, -1e-4, -3e-4,
-                                                                 -1e-3]
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == [-1e-5, -3e-5, -1e-4, -3e-4, -1e-3]
     res = json.loads((out / "branch.json").read_text())["results"]
     assert math.isfinite(res["error_slope_z1"]) and math.isfinite(res["error_slope_z2"])
+    # every row's equilibrium lies on the branch, not back on the twisted state
+    assert len(solved) == 1 + len(rows)
+    for eq, (s, amp, _, _) in zip(solved[1:], rows):
+        assert np.max(np.abs(eq.theta - ring.twisted_state(200, 5))) > amp / 2, s
 
 
 def test_branch_makes_no_eigensolve(tmp_path, monkeypatch):
@@ -273,6 +283,54 @@ def test_package_import_pins_openblas_to_one_thread_unless_set():
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
         assert out.stdout.strip() == expected
+
+
+_IMPORT_ORDER_SCRIPT = """
+import hashlib, sys, tempfile
+from pathlib import Path
+if sys.argv[1] == "scipy":
+    import scipy.linalg
+from twistlab import cli
+out = tempfile.mkdtemp(dir=sys.argv[2])
+assert cli.main(["branch", "--preset", "fig5", "--out", out]) == 0
+print(hashlib.sha256(Path(out, "equilibrium.csv").read_bytes()).hexdigest())
+"""
+
+
+def test_openblas_pin_holds_whatever_is_imported_first(tmp_path):
+    # scipy loaded before twistlab read no thread pin from the environment;
+    # loading the finite-ring layer pins its OpenBLAS, so the M=1000 Newton
+    # LUs of branch --preset fig5 round the same either way
+    import twistlab
+
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env["PYTHONPATH"] = str(Path(twistlab.__file__).parents[1])
+    digests = [subprocess.run([sys.executable, "-c", _IMPORT_ORDER_SCRIPT, first, str(tmp_path)],
+                              env=env, capture_output=True, text=True, check=True,
+                              timeout=300).stdout.split()[-1]
+               for first in ("scipy", "twistlab")]
+    assert digests[0] == digests[1]
+
+
+def test_openblas_pin_skips_a_build_without_the_setter(monkeypatch, caplog, tmp_path):
+    # another BLAS, or a library that does not load, is left alone with a DEBUG line
+    import logging
+    from types import SimpleNamespace
+
+    from twistlab import ring
+
+    (tmp_path / "scipy.libs").mkdir()
+    (tmp_path / "scipy.libs" / "libscipy_openblas-0.so").write_bytes(b"not a library")
+    for name in ("scipy", "np"):
+        fake = SimpleNamespace(__file__=str(tmp_path / name / "__init__.py"), __name__=name)
+        monkeypatch.setattr(ring, name, fake)
+    with caplog.at_level(logging.DEBUG, logger="twistlab"):
+        ring._pin_openblas_threads()
+    assert [r.getMessage() for r in caplog.records if r.name == "twistlab"] == [
+        f"no {symbol} in {tmp_path / libs}; its OpenBLAS keeps its thread count"
+        for symbol, libs in (("scipy_openblas_set_num_threads", "scipy.libs"),
+                             ("scipy_openblas_set_num_threads64_", "np.libs"))]
 
 
 _IMPORT_PATH_SCRIPT = """

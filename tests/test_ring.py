@@ -406,16 +406,17 @@ def test_integrate_relaxes_to_stable_twisted_state():
 
 
 def _count_integrate_calls(monkeypatch):
-    """Count field and stop root-finding evaluations; keep each solver result."""
+    """Count field evaluations, pinned or not, and the stop's root-finding
+    evaluations; keep each solver result."""
     import scipy.integrate._ivp.ivp as ivp
 
     counts = {"rhs": 0, "root": 0}
     solver = []
     rhs_fft, solve_ivp, solve_event = ring._rhs_fft, ring.solve_ivp, ivp.solve_event_equation
 
-    def counted_rhs(*args):
+    def counted_rhs(*args, **kwargs):
         counts["rhs"] += 1
-        return rhs_fft(*args)
+        return rhs_fft(*args, **kwargs)
 
     def counted_solve(*args, **kwargs):
         sol = solve_ivp(*args, **kwargs)
@@ -500,7 +501,7 @@ def test_integrate_lsoda_stop_costs_one_field_per_accepted_step(monkeypatch):
     assert out.method == "lsoda" and out.stop_reason == "equilibrium"
     assert 0 < counts["root"] < steps
     assert sol.nfev + 2 <= counts["rhs"] <= sol.nfev + 2 + steps + counts["root"]
-    # the slow relaxation turns stiff, and the analytic Jacobian takes over
+    # the slow relaxation turns stiff, and the analytic band Jacobian takes over
     assert sol.njev > 0
 
 
@@ -624,7 +625,125 @@ def test_integrate_method_follows_dense_cap(monkeypatch):
     monkeypatch.setattr(ring, "DENSE_CAP", 60)
     out = integrate(perturb(twisted_state(60, 2), 1e-3, seed=1), SystemSpec(p),
                     build_weights(60, p.r), t_end=1e-3)
-    assert out.method == "lsoda" and calls[-1] == ("LSODA", True)
+    assert out.method == "lsoda" and calls[-1] == (ring._LSODA, True)
+
+
+def _unfold_band(band, theta):
+    """The band Jacobian at ``theta`` in site order, pinned as :func:`jacobian` pins."""
+    order, pos, bw, fill = band
+    packed = fill(theta[order])
+    i, j = np.indices(packed.shape[1:] * 2)
+    inside = np.abs(i - j) <= bw
+    folded = np.zeros(i.shape)
+    folded[inside] = packed[(bw + i - j)[inside], j[inside]]
+    A = folded[np.ix_(pos, pos)]
+    A[1:] -= A[0]
+    A[0] = A[:, 0] = 0.0
+    return A
+
+
+def test_band_jacobian_matches_dense_jacobian():
+    # even and odd M, edge weights fractional (r M = 12.48, 12.61) and whole
+    # (r M = 12), both signs, twisted and perturbed states; the fold makes the
+    # half-width twice the largest coupled distance
+    for M, r, p in ((120, 0.104, 13), (97, 0.13, 13), (120, 0.1, 12)):
+        for sign in (ring.ATTRACTIVE, ring.REPULSIVE):
+            spec, w = SystemSpec(Params(r), sign=sign), build_weights(M, r)
+            band = ring._band_jacobian(spec, w)
+            assert band[2] == 2 * p
+            for theta in (twisted_state(M, 5), perturb(twisted_state(M, 5), 0.5, seed=M)):
+                assert np.max(np.abs(_unfold_band(band, theta) - jacobian(theta, spec, w))) < 1e-14
+
+
+def test_band_jacobian_only_for_narrow_pairwise_rings():
+    M = 120
+    for p in (Params(0.1, 0.5, 0.0), Params(0.1, 0.0, 0.5)):   # distant couplings: dense
+        assert ring._band_jacobian(SystemSpec(p), build_weights(M, p.r)) is None
+    # the packed band holds fewer entries than the dense matrix up to bw = 2p < M / 2
+    for r, banded in ((0.2, True), (0.24, True), (0.25, False), (0.3, False)):
+        assert (ring._band_jacobian(SystemSpec(Params(r)), build_weights(M, r)) is not None) == banded
+
+
+def _dense_lsoda(theta0, spec, weights, t_end, tol=1e-11):
+    """The dense LSODA call of :func:`integrate`, written out: the oracle of its bits."""
+    from scipy.integrate import solve_ivp
+
+    f = lambda y: ring._rhs_fft(y, spec, weights)
+
+    def event(t, y):
+        return float(np.max(np.abs(f(y))) - ring.EQUILIBRIUM_TOL)
+
+    event.terminal = True
+    event.direction = -1
+    sol = solve_ivp(lambda t, y: f(y), (0.0, t_end), theta0, method="LSODA", rtol=tol, atol=tol,
+                    events=event, jac=lambda t, y: jacobian(y, spec, weights))
+    theta = (sol.y_events[0][0] if sol.status == 1 else sol.y[:, -1]).copy()
+    theta[0] = 0.0
+    return theta, sol
+
+
+def test_integrate_takes_the_band_for_narrow_pairwise_rings_only(monkeypatch):
+    _, solver = _count_integrate_calls(monkeypatch)
+    dense = jacobian
+    # a narrow pairwise ring turns stiff without ever building the dense Jacobian
+    monkeypatch.setattr(ring, "jacobian", lambda *a: pytest.fail("dense jacobian built"))
+    spec, w, theta0 = _attractive_relaxation_case()
+    out = integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
+    assert (out.method, out.stop_reason) == ("lsoda", "equilibrium") and out.theta[0] == 0.0
+    assert solver[-1].njev > 0
+    assert np.max(np.abs(rhs(out.theta, spec, w))) < 1.01e-10
+    # distant couplings (triplet) and a wide band (r = 0.3) keep the dense
+    # call, bit for bit
+    calls = []
+    monkeypatch.setattr(ring, "jacobian", lambda *a: calls.append(1) or dense(*a))
+    for M, q, p, sign in ((120, 3, Params(0.3, 0.5, 0.0), ring.ATTRACTIVE),
+                          (200, 3, Params(0.3), ring.REPULSIVE)):
+        spec, w = SystemSpec(p, sign=sign), build_weights(M, p.r)
+        theta0 = perturb(twisted_state(M, q), 1e-1, seed=7)
+        calls.clear()
+        out = integrate(theta0, spec, w, t_end=1e4)
+        assert calls and out.stop_reason == "equilibrium"
+        theta, sol = _dense_lsoda(theta0, spec, w, t_end=1e4)
+        assert sol.njev > 0 and np.array_equal(out.theta, theta)
+        assert out.t_reached == sol.t_events[0][0]
+
+
+def test_integrate_does_not_leak_lsoda_work_arrays():
+    # scipy's LSODA keeps a reference to the work arrays of every solve;
+    # integrate hands each solve of one size the same arrays, so repeated
+    # runs do not each leave one behind (the band work array here is
+    # 8 * (22 + 88 * 120) bytes, about 85 kB)
+    import gc
+    import tracemalloc
+
+    spec, w, theta0 = _attractive_relaxation_case()
+    integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
+    tracemalloc.start()
+    try:
+        integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 20_000, grown
+
+
+def test_integrate_logs_lsoda_jacobian_storage(caplog):
+    spec, w, theta0 = _attractive_relaxation_case()
+    wide = SystemSpec(Params(0.3)), build_weights(120, 0.3)
+    with caplog.at_level(logging.DEBUG, logger="twistlab"):
+        integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
+        integrate(perturb(twisted_state(120, 3), 1e-2, seed=1), *wide, t_end=1.0)
+    logged = [r.getMessage() for r in caplog.records if r.name == "twistlab"]
+    assert len(logged) == 2
+    assert re.fullmatch(r"integrate: lsoda, band jacobian, half-bandwidth 26, \d+ steps, "
+                        r"\d+ rhs evaluations, [1-9]\d* jacobians", logged[0]), logged[0]
+    assert re.fullmatch(r"integrate: lsoda, dense jacobian, \d+ steps, \d+ rhs evaluations, "
+                        r"\d+ jacobians", logged[1]), logged[1]
 
 
 def test_newton_from_twisted_state_is_immediate():
