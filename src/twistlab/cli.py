@@ -744,7 +744,7 @@ def main(argv=None):
     try:
         envelope = execute(config)
         written = write_report(envelope)
-    except DomainError as exc:
+    except (DomainError, MemoryError) as exc:   # MemoryError: say, spectrum --kmax 99999999999
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         return EXIT_DOMAIN

@@ -16,20 +16,20 @@ Spectra are exact, and :func:`jacobian_spectrum` is the one spectrum call:
 the closed form when it is handed a twisted state (circulant linearization,
 any M), dense eigenvalues of the analytic :func:`jacobian` at any other state.
 That Jacobian has one frame, the state's own M x M with row and column 0
-zero, built only up to ``DENSE_CAP``: LSODA takes it as it is where it keeps
-the dense Jacobian, Newton and the dense spectrum read its pinned block
-``[1:, 1:]``. Ring shifts are :func:`symmetry_shift`, which
-:func:`best_shift_residual` also searches.
+zero, built only up to ``DENSE_CAP``: it is the unpinned Jacobian
+(:func:`_unpinned_jacobian`) pinned in place, and Newton and the dense
+spectrum read its pinned block ``[1:, 1:]``. Ring shifts are
+:func:`symmetry_shift`, which :func:`best_shift_residual` also searches.
 
 Time integration is adaptive with a terminal stop at the equilibrium
 ``sup |rhs| < EQUILIBRIUM_TOL``; the ring size alone picks the method. It is
 LSODA for ``M <= DENSE_CAP``: explicit Adams steps while the ring is
 non-stiff, implicit BDF fed an analytic Jacobian once it turns stiff (near a
-weakly unstable twisted state). A pairwise ring whose coupling range is
-short enough integrates its unpinned field in the fold order
-``0, M-1, 1, M-2, ...``, where that Jacobian is a band (:func:`_band_jacobian`);
-every other spec takes the dense :func:`jacobian`. Above the cap it is
-ETDRK4, an exponential integrator that takes the closed-form twisted-state
+weakly unstable twisted state). It integrates the unpinned field and
+re-pins the result: in the fold order ``0, M-1, 1, M-2, ...`` with a band
+Jacobian (:func:`_band_jacobian`) for a pairwise ring of short range, with
+the dense :func:`_unpinned_jacobian` for every other spec. Above the cap it
+is ETDRK4, an exponential integrator that takes the closed-form twisted-state
 linearization, diagonal in Fourier space, exactly and needs no matrix.
 Damped Newton refinement of an equilibrium runs at most
 ``NEWTON_MAX_ITER`` iterations to the residual ``NEWTON_TOL``, each step on
@@ -351,20 +351,15 @@ def rhs(theta, spec, weights, method="fft"):
     raise ValueError(f"unknown method {method!r}; expected 'fft' or 'naive'")
 
 
-def jacobian(theta, spec, weights):
-    """Analytic Jacobian of :func:`rhs` in the state's own M x M frame.
+def _unpinned_jacobian(theta, spec, weights):
+    """Analytic Jacobian of ``_rhs_fft(..., pinned=False)`` at any state, unchecked.
 
     Every order adds its off-diagonal partials, gathered from circular
-    convolutions of ``exp(i theta)``, to one unpinned M x M matrix filled in
-    row blocks. Every order is invariant under a global phase shift, so the
-    diagonal is minus the row sum; pinning entry 0 subtracts row 0 and zeroes
-    row and column 0, leaving the pinned Jacobian in ``[1:, 1:]``. Raises
-    :class:`ResourceLimitError` for ``M > DENSE_CAP``.
+    convolutions of ``exp(i theta)``, to one M x M matrix filled in row
+    blocks; invariance under a global phase shift makes the diagonal minus
+    the row sum.
     """
-    theta = _check_state(theta, weights)
     M, p, orders = weights.M, spec.p, spec.include_orders
-    if M > DENSE_CAP:
-        raise ResourceLimitError(f"dense Jacobian needs M <= {DENSE_CAP}; got M={M}")
     u = np.exp(1j * theta)
     U = np.fft.fft(u)
     B = weights.b_fft
@@ -395,8 +390,22 @@ def jacobian(theta, spec, weights):
                 2.0 * u * bR[(k - cols) % M] - np.conj(u) * buu[(k + cols) % M])).real
     np.fill_diagonal(A, 0.0)
     np.fill_diagonal(A, -A.sum(axis=1))
-    A[1:] -= A[0]
     A *= spec.sign_factor
+    return A
+
+
+def jacobian(theta, spec, weights):
+    """Analytic Jacobian of :func:`rhs` in the state's own M x M frame.
+
+    :func:`_unpinned_jacobian` pinned in place: row 0 is subtracted and row
+    and column 0 zeroed, leaving the pinned Jacobian in ``[1:, 1:]``. Raises
+    :class:`ResourceLimitError` for ``M > DENSE_CAP``.
+    """
+    theta = _check_state(theta, weights)
+    if weights.M > DENSE_CAP:
+        raise ResourceLimitError(f"dense Jacobian needs M <= {DENSE_CAP}; got M={weights.M}")
+    A = _unpinned_jacobian(theta, spec, weights)
+    A[1:] -= A[0]
     A[0] = A[:, 0] = 0.0
     return A
 
@@ -411,8 +420,9 @@ def _band_jacobian(spec, weights):
     counts). The fold order ``0, M-1, 1, M-2, ...`` turns it into a true band
     of half-width ``bw = 2 p``. Triplet and quadruplet terms couple distant
     sites, and a band whose packed storage ``(2 bw + 1) M`` is not below the
-    dense ``M^2`` does not pay (there LSODA's band LU measured as costly as
-    the dense one); both get None.
+    dense ``M^2`` costs LSODA more memory than the dense matrix and takes in
+    weights at the antipode ``p = M / 2``, which ``fill`` would count twice
+    on the diagonal; both get None.
 
     Returns ``(order, pos, bw, fill)``: the folded state is
     ``y = theta[order]``, so ``theta = y[pos]``, and ``fill(y)`` is the
@@ -472,12 +482,6 @@ def _twisted_spectrum(q, spec, weights):
     drop the constant mode and keep the others.
     """
     return np.sort(_twisted_lattice(q, spec, weights))[::-1]
-
-
-def _repin(theta):
-    theta = np.asarray(theta, dtype=float).copy()
-    theta[0] = 0.0
-    return theta
 
 
 def _twist_count(theta, spec):
@@ -569,23 +573,24 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
       they are bounded by accuracy and switches to implicit BDF fed an
       analytic Jacobian when stability bounds them, as near a weakly
       unstable twisted state, whose pinned spectrum spans several decades.
-      A pairwise ring with a narrow coupling band (:func:`_band_jacobian`)
-      integrates the unpinned field ``sign G`` in the fold order, where its
+      It integrates the unpinned field ``sign G`` and re-pins the result as
+      ``theta - theta[0]``, which every order's invariance under a global
+      phase shift allows. A pairwise ring with a narrow coupling band
+      (:func:`_band_jacobian`) takes it in the fold order, where its
       Jacobian is a band that LSODA factors in O(bw^2 M) (the pinned
-      Jacobian is dense through its rank-one pinning term). Pairwise
-      coupling leaves the mean phase fixed, and the result is re-pinned as
-      ``theta - theta[0]``. Every other spec integrates the pinned field
-      with the dense :func:`jacobian`, in the solver's M x M frame. The
-      storage, the half-bandwidth and the solver's counts are logged at
-      DEBUG level on the ``twistlab`` logger.
+      Jacobian is dense through its rank-one pinning term); every other
+      spec takes the dense :func:`_unpinned_jacobian`. The storage, the
+      half-bandwidth and the solver's counts are logged at DEBUG level on
+      the ``twistlab`` logger.
     - larger rings: ETDRK4, ``"etdrk4"``, which integrates the closed-form
       linearization at the twisted state of ``theta0``'s winding number
       exactly and only the remainder by Runge-Kutta stages
       (:func:`_integrate_etdrk4`).
 
     The state returned is pinned: its entry 0 is exactly 0. A non-finite
-    ``theta0`` raises ``ValueError``; a step that fails (LSODA) or whose
-    error estimate is NaN or whose size falls below roundoff (ETDRK4) raises
+    ``theta0`` or a ``tol`` below scipy's LSODA floor ``100 eps`` raises
+    ``ValueError``; a step that fails (LSODA) or whose error estimate is NaN
+    or whose size falls below roundoff (ETDRK4) raises
     :class:`StiffnessError` with the time reached. At each accepted step the
     equilibrium stop reads the pinned field at the new state, and root
     finding locates the stop inside the step.
@@ -593,9 +598,9 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
     theta0 = _check_state(theta0, weights)
     if not np.all(np.isfinite(theta0)):
         raise ValueError("theta0 must be finite")
-    if not tol > 0:   # NaN fails these too: a NaN tol disables error control, a NaN t_end hangs
-        raise ValueError(f"tol must be positive, got {tol}")
-    if not t_end > 0:
+    if not tol >= 100 * np.finfo(float).eps:   # NaN fails too: it disables error control
+        raise ValueError(f"tol must be at least 100 eps = 2.2e-14, got {tol}")
+    if not t_end > 0:   # so does a NaN t_end, which would hang
         raise ValueError(f"t_end must be positive, got {t_end}")
     method = "lsoda" if weights.M <= DENSE_CAP else "etdrk4"
     f = lambda th: _rhs_fft(th, spec, weights)
@@ -609,23 +614,21 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
 
     band = _band_jacobian(spec, weights)
     if band is None:
-        y0, sites, finish = theta0, (lambda y: y), _repin
-        field = lambda t, y: f(y)
-        options = {"jac": lambda t, y: jacobian(y, spec, weights)}
+        order = pos = slice(None)
+        options = {"jac": lambda t, y: _unpinned_jacobian(y, spec, weights)}
         storage = "dense jacobian"
     else:
         order, pos, bw, fill = band
-        y0, sites, finish = theta0[order], (lambda y: y[pos]), (lambda y: y[pos] - y[0])
-        field = lambda t, y: _rhs_fft(y[pos], spec, weights, pinned=False)[order]
         options = {"jac": lambda t, y: fill(y), "lband": bw, "uband": bw}
         storage = f"band jacobian, half-bandwidth {bw}"
+    field = lambda t, y: _rhs_fft(y[pos], spec, weights, pinned=False)[order]
 
     def event(t, y):
-        return float(np.max(np.abs(f(sites(y)))) - EQUILIBRIUM_TOL)
+        return float(np.max(np.abs(f(y[pos]))) - EQUILIBRIUM_TOL)
 
     event.terminal = True
     event.direction = -1
-    sol = solve_ivp(field, (0.0, t_end), y0, method=_LSODA, rtol=tol, atol=tol,
+    sol = solve_ivp(field, (0.0, t_end), theta0[order], method=_LSODA, rtol=tol, atol=tol,
                     events=event, **options)
     _log.debug("integrate: lsoda, %s, %d steps, %d rhs evaluations, %d jacobians",
                storage, len(sol.t) - 1, sol.nfev, sol.njev)
@@ -633,14 +636,10 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
         raise StiffnessError(f"integration step failed: {sol.message}",
                              t_reached=float(sol.t[-1]))
     if sol.status == 1:
-        theta = finish(sol.y_events[0][0])
-        t_reached = float(sol.t_events[0][0])
-        reason = "equilibrium"
+        y, t_reached, reason = sol.y_events[0][0], float(sol.t_events[0][0]), "equilibrium"
     else:
-        theta = finish(sol.y[:, -1])
-        t_reached = float(sol.t[-1])
-        reason = "t_end"
-    return IntegrationResult(theta=theta, t_reached=t_reached, stop_reason=reason,
+        y, t_reached, reason = sol.y[:, -1], float(sol.t[-1]), "t_end"
+    return IntegrationResult(theta=y[pos] - y[0], t_reached=t_reached, stop_reason=reason,
                              method=method)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twistlab import kernel
+from twistlab import cli, kernel
 from twistlab.cli import main, parse_config
 from twistlab.kernel import Params
 from twistlab.spectrum import mode_cutoff
@@ -138,6 +138,21 @@ def test_thresholds_domain_error_exit_code(tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "NoBifurcationError"
+
+
+def test_memory_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a listing too large to allocate (spectrum --kmax 99999999999) left a
+    # traceback and exit 1; raised here without allocating
+    def too_large(config):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setitem(cli._RUNNERS, "spectrum", too_large)
+    code = main(["spectrum", "--q", "5", "--r", "0.2", "--kmax", "99999999999",
+                 "--out", str(tmp_path / "m")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "MemoryError", "message": "Unable to allocate 745. GiB for an array"}
+    assert not (tmp_path / "m").exists()
 
 
 def test_usage_error_exit_code(tmp_path):

@@ -386,6 +386,15 @@ def test_integrate_needs_positive_t_end_and_tol():
     # a NaN tolerance ran to t_end unchecked, far from the equilibrium
     with pytest.raises(ValueError, match="tol"):
         integrate(theta0, SystemSpec(p), w, t_end=1.0, tol=float("nan"))
+    # below 100 eps LSODA raised rtol to that floor with a warning while ETDRK4
+    # honoured it, and 1e-300 failed as a StiffnessError; both rings refuse it
+    # before any work
+    for n in (M, ring.DENSE_CAP + 1):
+        w_n = build_weights(n, p.r)
+        theta_n = perturb(twisted_state(n, q), 1e-2, seed=0)
+        for tol in (1e-15, 1e-300):
+            with pytest.raises(ValueError, match="tol"):
+                integrate(theta_n, SystemSpec(p), w_n, t_end=1.0, tol=tol)
     out = integrate(theta0, SystemSpec(p), w, t_end=float("inf"))
     assert out.stop_reason == "equilibrium" and 10.0 < out.t_reached < 1e3
 
@@ -662,47 +671,54 @@ def test_band_jacobian_only_for_narrow_pairwise_rings():
     # the packed band holds fewer entries than the dense matrix up to bw = 2p < M / 2
     for r, banded in ((0.2, True), (0.24, True), (0.25, False), (0.3, False)):
         assert (ring._band_jacobian(SystemSpec(Params(r)), build_weights(M, r)) is not None) == banded
+    # weights that reach the antipode (p = M / 2): fill would count that term
+    # twice on the diagonal, and the rule keeps the ring dense
+    assert ring._band_jacobian(SystemSpec(Params(0.5)), build_weights(64, 0.5)) is None
 
 
 def _dense_lsoda(theta0, spec, weights, t_end, tol=1e-11):
-    """The dense LSODA call of :func:`integrate`, written out: the oracle of its bits."""
+    """The dense LSODA call of :func:`integrate`, written out: the unpinned
+    field with its unpinned Jacobian, re-pinned at the end. The oracle of its bits."""
     from scipy.integrate import solve_ivp
 
-    f = lambda y: ring._rhs_fft(y, spec, weights)
-
     def event(t, y):
-        return float(np.max(np.abs(f(y))) - ring.EQUILIBRIUM_TOL)
+        return float(np.max(np.abs(ring._rhs_fft(y, spec, weights))) - ring.EQUILIBRIUM_TOL)
 
     event.terminal = True
     event.direction = -1
-    sol = solve_ivp(lambda t, y: f(y), (0.0, t_end), theta0, method="LSODA", rtol=tol, atol=tol,
-                    events=event, jac=lambda t, y: jacobian(y, spec, weights))
-    theta = (sol.y_events[0][0] if sol.status == 1 else sol.y[:, -1]).copy()
-    theta[0] = 0.0
-    return theta, sol
+    sol = solve_ivp(lambda t, y: ring._rhs_fft(y, spec, weights, pinned=False), (0.0, t_end),
+                    theta0, method="LSODA", rtol=tol, atol=tol, events=event,
+                    jac=lambda t, y: ring._unpinned_jacobian(y, spec, weights))
+    y = sol.y_events[0][0] if sol.status == 1 else sol.y[:, -1]
+    return y - y[0], sol
 
 
 def test_integrate_takes_the_band_for_narrow_pairwise_rings_only(monkeypatch):
     _, solver = _count_integrate_calls(monkeypatch)
-    dense = jacobian
+    dense = ring._unpinned_jacobian
     # a narrow pairwise ring turns stiff without ever building the dense Jacobian
-    monkeypatch.setattr(ring, "jacobian", lambda *a: pytest.fail("dense jacobian built"))
+    monkeypatch.setattr(ring, "_unpinned_jacobian", lambda *a: pytest.fail("dense jacobian built"))
     spec, w, theta0 = _attractive_relaxation_case()
     out = integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
     assert (out.method, out.stop_reason) == ("lsoda", "equilibrium") and out.theta[0] == 0.0
     assert solver[-1].njev > 0
     assert np.max(np.abs(rhs(out.theta, spec, w))) < 1.01e-10
-    # distant couplings (triplet) and a wide band (r = 0.3) keep the dense
-    # call, bit for bit
+    # distant couplings (triplet, quadruplet) and a wide band (r = 0.3) take
+    # the dense unpinned Jacobian in the same frame: they stop at the
+    # equilibrium, bit for bit as the call written out (the quadruplet ring
+    # sits near its threshold, so that LSODA turns stiff)
     calls = []
-    monkeypatch.setattr(ring, "jacobian", lambda *a: calls.append(1) or dense(*a))
+    monkeypatch.setattr(ring, "_unpinned_jacobian", lambda *a: calls.append(1) or dense(*a))
+    r_near = spectrum.threshold(3, spectrum.ATTRACTIVE_R0) - 5e-3
     for M, q, p, sign in ((120, 3, Params(0.3, 0.5, 0.0), ring.ATTRACTIVE),
+                          (120, 3, Params(r_near, 0.0, 0.05), ring.ATTRACTIVE),
                           (200, 3, Params(0.3), ring.REPULSIVE)):
         spec, w = SystemSpec(p, sign=sign), build_weights(M, p.r)
         theta0 = perturb(twisted_state(M, q), 1e-1, seed=7)
         calls.clear()
         out = integrate(theta0, spec, w, t_end=1e4)
-        assert calls and out.stop_reason == "equilibrium"
+        assert calls and out.stop_reason == "equilibrium" and out.theta[0] == 0.0
+        assert np.max(np.abs(rhs(out.theta, spec, w))) < 1.01e-10
         theta, sol = _dense_lsoda(theta0, spec, w, t_end=1e4)
         assert sol.njev > 0 and np.array_equal(out.theta, theta)
         assert out.t_reached == sol.t_events[0][0]
