@@ -543,7 +543,8 @@ def _run_branch(cfg):
 def _state_csv(theta):
     """A ring state as (header, rows) of ``index,x,theta``."""
     M = len(theta)
-    return "index,x,theta", [[str(i), _fmt(i / M), _fmt(v)] for i, v in enumerate(theta)]
+    # tolist() gives Python floats, whose repr is _fmt's text at a fraction of its cost
+    return "index,x,theta", [[str(i), repr(i / M), repr(v)] for i, v in enumerate(theta.tolist())]
 
 
 def _mode_amplitudes(theta, q):

@@ -30,7 +30,9 @@ re-pins the result: in the fold order ``0, M-1, 1, M-2, ...`` with a band
 Jacobian (:func:`_band_jacobian`) for a pairwise ring of short range, with
 the dense :func:`_unpinned_jacobian` for every other spec. Above the cap it
 is ETDRK4, an exponential integrator that takes the closed-form twisted-state
-linearization, diagonal in Fourier space, exactly and needs no matrix.
+linearization, diagonal in Fourier space, exactly and needs no matrix; an
+embedded estimate from the field at the new state, which the next step
+reuses, controls its steps.
 Damped Newton refinement of an equilibrium runs at most
 ``NEWTON_MAX_ITER`` iterations to the residual ``NEWTON_TOL``, each step on
 the dense Jacobian, and only solves: callers that want the spectrum at the
@@ -585,7 +587,9 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
     - larger rings: ETDRK4, ``"etdrk4"``, which integrates the closed-form
       linearization at the twisted state of ``theta0``'s winding number
       exactly and only the remainder by Runge-Kutta stages
-      (:func:`_integrate_etdrk4`).
+      (:func:`_integrate_etdrk4`). Each attempted step costs 4 field
+      evaluations: three stages and the new state, which gives the error
+      estimate and is the next step's first stage.
 
     The state returned is pinned: its entry 0 is exactly 0. A non-finite
     ``theta0`` or a ``tol`` below scipy's LSODA floor ``100 eps`` raises
@@ -643,7 +647,8 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
                              method=method)
 
 
-_PHI_TERMS = 17   # Taylor terms of phi_3 below |z| = 1; the first one dropped is under 1e-18
+# the 17 Taylor coefficients of phi_3 used below |z| = 1; the first one dropped is under 1e-18
+_PHI3_TAYLOR = tuple(1.0 / math.factorial(j + 3) for j in range(17))
 
 
 def _phi(z):
@@ -653,34 +658,37 @@ def _phi(z):
     each with the limit ``1/k!`` at 0. The recurrence is used as written for
     ``|z| >= 1``; below, ``phi_3 = sum_j z^j / (j + 3)!`` by Horner's rule,
     and ``phi_k = 1/k! + z phi_{k+1}`` back up, which cancels nothing there.
+    The series runs on those entries only: a step long enough to matter
+    leaves few of them.
     """
     z = np.asarray(z, dtype=float)
-    direct = np.abs(z) >= 1.0
-    zd = np.where(direct, z, 1.0)
-    d1 = np.expm1(zd) / zd
-    d2 = (d1 - 1.0) / zd
-    d3 = (d2 - 0.5) / zd
-    zs = np.where(direct, 0.0, z)
-    s3 = np.full_like(zs, 1.0 / math.factorial(_PHI_TERMS + 2))
-    for j in range(_PHI_TERMS - 2, -1, -1):
-        s3 = s3 * zs + 1.0 / math.factorial(j + 3)
-    s2 = 0.5 + zs * s3
-    s1 = 1.0 + zs * s2
-    return np.where(direct, d1, s1), np.where(direct, d2, s2), np.where(direct, d3, s3)
+    small = np.abs(z) < 1.0
+    zd = np.where(small, 1.0, z)
+    p1 = np.expm1(zd) / zd
+    p2 = (p1 - 1.0) / zd
+    p3 = (p2 - 0.5) / zd
+    zs = z[small]
+    s3 = np.full_like(zs, _PHI3_TAYLOR[-1])
+    for c in _PHI3_TAYLOR[-2::-1]:
+        s3 = s3 * zs + c
+    p3[small] = s3
+    p2[small] = s2 = 0.5 + zs * s3
+    p1[small] = 1.0 + zs * s2
+    return p1, p2, p3
 
 
-def _etdrk4_state(v, stages, h, s, nu):
+def _etdrk4_state(v, stages, h, s, nu, phi):
     """ETDRK4's continuous extension: the state at time ``s`` of a step of length ``h`` from ``v``.
 
     ``v`` and the four stage values ``N(v), N(a), N(b), N(c)`` of the
-    nonlinear part are real-FFT coefficients, and ``nu`` is the diagonal
-    linear part. At ``s = h`` this is the ETDRK4 step (Cox & Matthews, *J.
-    Comput. Phys.* 176, 2002, with the weights of Kassam & Trefethen, *SIAM
-    J. Sci. Comput.* 26, 2005); inside the step it is the method's continuous
-    extension.
+    nonlinear part are real-FFT coefficients, ``nu`` is the diagonal linear
+    part and ``phi`` is ``_phi(s * nu)``. At ``s = h`` this is the ETDRK4 step
+    (Cox & Matthews, *J. Comput. Phys.* 176, 2002, with the weights of Kassam
+    & Trefethen, *SIAM J. Sci. Comput.* 26, 2005); inside the step it is the
+    method's continuous extension.
     """
     n1, na, nb, nc = stages
-    p1, p2, p3 = _phi(s * nu)
+    p1, p2, p3 = phi
     x = s / h
     return (np.exp(s * nu) * v + s * p1 * n1
             + (s * x) * p2 * (2.0 * (na + nb) - 3.0 * n1 - nc)
@@ -690,8 +698,9 @@ def _etdrk4_state(v, stages, h, s, nu):
 def _etdrk4_step(nonlinear, v, n1, h, nu):
     """One ETDRK4 step of length ``h`` from ``v``, whose nonlinear part ``n1`` is known.
 
-    Evaluates ``nonlinear`` three times. Returns the new state and the four
-    stage values, which :func:`_etdrk4_state` also interpolates with.
+    Evaluates ``nonlinear`` three times. Returns the new state, the four
+    stage values, which :func:`_etdrk4_state` also interpolates with, and
+    ``_phi(h * nu)``, which the error estimate shares.
     """
     z = 0.5 * h * nu
     e2 = np.exp(z)
@@ -701,8 +710,20 @@ def _etdrk4_step(nonlinear, v, n1, h, nu):
     b = e2 * v + w2 * na
     nb = nonlinear(b)
     nc = nonlinear(e2 * a + w2 * (2.0 * nb - n1))
-    stages = (n1, na, nb, nc)
-    return _etdrk4_state(v, stages, h, h, nu), stages
+    stages, phi = (n1, na, nb, nc), _phi(h * nu)
+    return _etdrk4_state(v, stages, h, h, nu, phi), stages, phi
+
+
+def _etdrk4_error(stages, n_new, h, phi):
+    """The embedded error estimate of an ETDRK4 step, in real-FFT coefficients.
+
+    ``h (phi_2 - 4 phi_3)(h nu) (N(u_new) - N(c))``, with ``phi = _phi(h nu)``
+    and ``N(u_new)`` the nonlinear part at the step's new state, is ETDRK4
+    minus the third-order exponential quadrature that interpolates ``N``
+    quadratically through ``N(v)``, ``(N(a) + N(b)) / 2`` and ``N(u_new)``.
+    It is O(h^4).
+    """
+    return h * (phi[1] - 4.0 * phi[2]) * (n_new - stages[3])
 
 
 def _integrate_etdrk4(theta0, f0, spec, weights, t_end, tol):
@@ -718,18 +739,22 @@ def _integrate_etdrk4(theta0, f0, spec, weights, t_end, tol):
     the state only keeps ``N`` small, so that steps are limited by how fast
     ``N`` changes, not by ``L``'s fastest mode.
 
-    Error control by step doubling: a step of length h is compared with two
-    steps of h/2, which are kept; their error is estimated as the difference
-    over ``2^4 - 1``, and the step is accepted when that estimate is at most
-    1 in the RMS norm weighted by ``tol (1 + max(|theta|, |theta_new|))``, as
-    scipy weighs ``rtol = atol = tol``. The first step and the step-size
-    update are scipy's, for a fifth-order local error. One accepted step
-    costs 11 field evaluations and a rejected one 10. The equilibrium stop is
-    a root of ``sup |f| - EQUILIBRIUM_TOL`` on the continuous extension of
-    the half step where it changes sign, found by :func:`kernel._brentq` to
+    Error control is embedded and first-same-as-last (Whalen, Brio &
+    Moloney, *J. Comput. Phys.* 280, 2015): each attempt takes one step of
+    length h and evaluates the field at the new state, which gives the
+    estimate (:func:`_etdrk4_error`), the stop's test and the next step's
+    ``N(v)``. The step is accepted when the estimate is at most 1 in the RMS
+    norm weighted by ``tol (1 + max(|theta|, |theta_new|))``, as scipy weighs
+    ``rtol = atol = tol``, and the step size is scaled by
+    ``0.9 err^(-1/4)`` within [0.2, 10]. An attempt costs 4 field
+    evaluations, accepted or not. The equilibrium stop is a root of
+    ``sup |f| - EQUILIBRIUM_TOL`` on the continuous extension of the step
+    where it changes sign, found by :func:`kernel._brentq` to
     ``tol / EQUILIBRIUM_TOL`` in time: the state moves at about
-    ``EQUILIBRIUM_TOL`` there, so by about ``tol`` within that. Counts go to
-    the ``twistlab`` logger at DEBUG level.
+    ``EQUILIBRIUM_TOL`` there, so by about ``tol`` within that. The stop
+    returned is the earliest time Brent evaluated at which the stop holds,
+    so the state meets it. Counts go to the ``twistlab`` logger at DEBUG
+    level.
     """
     M = weights.M
     winding = float(np.sum(wrap_to_pi(np.diff(theta0, append=theta0[0]))))
@@ -767,47 +792,50 @@ def _integrate_etdrk4(theta0, f0, spec, weights, t_end, tol):
         last = t + h >= t_end
         if last:
             h = t_end - t
-        v_full, _ = _etdrk4_step(nonlinear, v, n1, h, nu)
-        v_mid, first = _etdrk4_step(nonlinear, v, n1, 0.5 * h, nu)
-        f_mid = field(state(v_mid))
-        v_new, second = _etdrk4_step(nonlinear, v_mid, split(f_mid, v_mid), 0.5 * h, nu)
+        v_new, stages, phi = _etdrk4_step(nonlinear, v, n1, h, nu)
         theta_new = state(v_new)
+        f_new = field(theta_new)
+        n_new = split(f_new, v_new)
         scale = tol + tol * np.maximum(np.abs(theta), np.abs(theta_new))
-        err = rms(np.fft.irfft(v_new - v_full, M) / scale) / 15.0
+        err = rms(np.fft.irfft(_etdrk4_error(stages, n_new, h, phi), M) / scale)
         if math.isnan(err):
             raise StiffnessError(f"ETDRK4 error estimate is NaN at t={t:.6g}", t_reached=t)
         if err > 1.0:
-            h *= max(0.2, 0.9 * err ** -0.2)
+            h *= max(0.2, 0.9 * err ** -0.25)
             rejected += 1
             shrunk = True
             continue
-        factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+        factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.25)
         if shrunk:
             factor = min(1.0, factor)
         t_old, t = t, (t_end if last else t + h)
         accepted += 1
-        f_new = field(theta_new)
         g_new = excess(f_new)
         if g_new <= 0.0 or last:
             break
-        theta, v, n1, g = theta_new, v_new, split(f_new, v_new), g_new
+        theta, v, n1, g = theta_new, v_new, n_new, g_new
         h *= factor
         shrunk = False
     roots = 0
     if g_new <= 0.0:
-        # the stop lies in the first half step if sup |f| is already below there
-        g_mid = excess(f_mid)
-        if g_mid <= 0.0:
-            a, b, v_a, stages, g_a, g_b = t_old, t_old + 0.5 * h, v, first, g, g_mid
-        else:
-            a, b, v_a, stages, g_a, g_b = t_old + 0.5 * h, t, v_mid, second, g_mid, g_new
-        at = lambda tt: state(_etdrk4_state(v_a, stages, 0.5 * h, tt - a, nu))
+        a, b = t_old, t
+        at = lambda tt: state(_etdrk4_state(v, stages, h, tt - a, nu, _phi((tt - a) * nu)))
+        below = []                                # times seen where the stop holds
+
+        def stop(tt):
+            g_tt = g if tt == a else g_new if tt == b else excess(field(at(tt)))
+            if g_tt <= 0.0:
+                below.append(tt)
+            return g_tt
+
         before = evals
-        t = kernel._brentq(
-            lambda tt: g_a if tt == a else g_b if tt == b else excess(field(at(tt))),
-            a, b, xtol=tol / EQUILIBRIUM_TOL)
+        kernel._brentq(stop, a, b, xtol=tol / EQUILIBRIUM_TOL)
         roots = evals - before
-        theta_new = at(t)
+        # brentq may end on either side of the root; the earliest time seen
+        # below it lies within xtol of the root and meets the stop
+        t = min(below)
+        if t < b:
+            theta_new = at(t)
     _log.debug("integrate: etdrk4, %d steps, %d rejected, %d rhs evaluations, %d in the stop",
                accepted, rejected, evals, roots)
     return IntegrationResult(theta=theta_new - theta_new[0], t_reached=float(t),
