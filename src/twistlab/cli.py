@@ -359,20 +359,18 @@ def _run_spectrum(cfg):
 
 def _run_thresholds(cfg):
     p = cfg.parameters
-    kind = p["kind"]
-    prov = []
-    if p.get("M"):
+    q, kind, M = p["q"], p["kind"], p.get("M")
+    if M is None:
+        value, label = spectrum.threshold(q, _THRESHOLD_KINDS[kind]), kind
+    else:
         from . import ring
 
-        value = ring.finite_threshold(p["q"], p["M"], kind)
-        label = f"{kind}_finite_M{p['M']}"
-    else:
-        value = spectrum.threshold(p["q"], _THRESHOLD_KINDS[kind])
-        label = kind
-    if p["q"] == 5 and kind in ("attractive", "repulsive"):
-        prov.append(["r0", "fig2" if not p.get("M") else "fig6"])
-    results = {"q": p["q"], "kind": label, "r0": value}
-    csvs = {"thresholds": ("q,kind,r0", [[str(p["q"]), label, _fmt(value)]])}
+        value, label = ring.finite_threshold(q, M, kind), f"{kind}_finite_M{M}"
+    prov = []
+    if q == 5 and kind in ("attractive", "repulsive"):
+        prov.append(["r0", "fig2" if M is None else "fig6"])
+    results = {"q": q, "kind": label, "r0": value}
+    csvs = {"thresholds": ("q,kind,r0", [[str(q), label, _fmt(value)]])}
     return results, csvs, prov
 
 

@@ -13,8 +13,8 @@ half-length one. The naive path evaluates the same convolutions by direct
 summation and serves as the oracle.
 
 Spectra are exact, and :func:`jacobian_spectrum` is the one spectrum call:
-the closed form when it is handed a twisted state (circulant linearization,
-any M), dense eigenvalues of the analytic :func:`jacobian` at any other state.
+the closed form :func:`_twisted_lattice` at any twisted state (every spec,
+twist count and M), dense eigenvalues of :func:`jacobian` at any other state.
 That Jacobian has one frame, the state's own M x M with row and column 0
 zero, built only up to ``DENSE_CAP``: it is the unpinned Jacobian
 (:func:`_unpinned_jacobian`) pinned in place, and Newton and the dense
@@ -29,10 +29,9 @@ weakly unstable twisted state). It integrates the unpinned field and
 re-pins the result: in the fold order ``0, M-1, 1, M-2, ...`` with a band
 Jacobian (:func:`_band_jacobian`) for a pairwise ring of short range, with
 the dense :func:`_unpinned_jacobian` for every other spec. Above the cap it
-is ETDRK4, an exponential integrator that takes the closed-form twisted-state
-linearization, diagonal in Fourier space, exactly and needs no matrix; an
-embedded estimate from the field at the new state, which the next step
-reuses, controls its steps.
+is ETDRK4, an exponential integrator that takes that closed form, diagonal
+in Fourier space, exactly and needs no matrix; an embedded estimate from the
+field at the new state, which the next step reuses, controls its steps.
 Damped Newton refinement of an equilibrium runs at most
 ``NEWTON_MAX_ITER`` iterations to the residual ``NEWTON_TOL``, each step on
 the dense Jacobian, and only solves: callers that want the spectrum at the
@@ -208,9 +207,9 @@ class SystemSpec:
 
 
 def twisted_state(M, q):
-    """The q-twisted phase-difference profile on M sites: ``2 pi q k / M``."""
-    if M < 1 or q < 0:
-        raise ValueError("need M >= 1 and q >= 0")
+    """The q-twisted phase-difference profile on M sites: ``2 pi q k / M``, any integer q."""
+    if M < 1:
+        raise ValueError("need M >= 1")
     return TWO_PI * q * np.arange(M) / M
 
 
@@ -263,11 +262,14 @@ def _direct_convolve(x, y):
 
 
 def _check_state(theta, weights):
+    """``theta`` as floats; entry 0 within 1e-12 of 0 is re-pinned, an exact 0 keeps its bits."""
     theta = np.asarray(theta, dtype=float)
     if len(theta) != weights.M:
         raise ValueError(f"state length {len(theta)} does not match weights for M={weights.M}")
-    if abs(theta[0]) > 1e-12:
+    if not abs(theta[0]) <= 1e-12:   # NaN fails this too
         raise ValueError("entry 0 of the state must be pinned to 0")
+    if theta[0] != 0.0:
+        theta = theta - theta[0]
     return theta
 
 
@@ -464,69 +466,60 @@ def _band_jacobian(spec, weights):
 def _twisted_lattice(q, spec, weights):
     """Eigenvalues of the linearization at the q-twisted state on Fourier modes ``k = 1..M-1``.
 
-    The linearization at a twisted state is circulant, so its eigenvalues are
-    :func:`kernel.c1` with ``w_hat(r, j)`` replaced by the lattice
-    coefficients ``B_j = (2/M) Re FFT(b)_j``; mode ``k`` and mode ``M - k``
-    share a value, so the operator is diagonal in the real FFT basis too. Any
-    integer q and any M; exact for specs with the pairwise term.
+    The linearization is circulant and additive over orders. With lattice
+    coefficients ``B_j = (2/M) Re FFT(b)_j`` for ``w_hat(r, j)``, the pairwise
+    term gives ``0.25 (B_{q-k} + B_{q+k}) - 0.5 B_q`` and the triplet and
+    quadruplet terms add ``-(lam + mu/2) B_q`` on every mode; with the
+    pairwise term that is :func:`kernel.c1` on the lattice. Modes ``k`` and
+    ``M - k`` share a value. Exact for every spec, integer q and M.
     """
-    M = weights.M
+    M, orders = weights.M, spec.include_orders
     B = (2.0 / M) * weights.b_fft.real
-    lam = spec.p.lam if TRIPLET in spec.include_orders else 0.0
-    mu = spec.p.mu if QUADRUPLET in spec.include_orders else 0.0
-    return spec.sign_factor * kernel._twisted_c1(lambda j: B[j % M], q, np.arange(1, M), lam, mu)
+    W = lambda j: B[j % M]
+    lam = spec.p.lam if TRIPLET in orders else 0.0
+    mu = spec.p.mu if QUADRUPLET in orders else 0.0
+    if PAIRWISE in orders:
+        values = kernel._twisted_c1(W, q, np.arange(1, M), lam, mu)
+    else:
+        values = np.full(M - 1, -(lam + 0.5 * mu) * W(q))
+    return spec.sign_factor * values
 
 
-def _twisted_spectrum(q, spec, weights):
-    """Exact pinned Jacobian eigenvalues at the q-twisted state, descending.
-
-    The values of :func:`_twisted_lattice`, sorted: the pinned coordinates
-    drop the constant mode and keep the others.
-    """
-    return np.sort(_twisted_lattice(q, spec, weights))[::-1]
-
-
-def _twist_count(theta, spec):
+def _twist_count(theta):
     """The q with ``theta`` bitwise ``twisted_state(M, q)``, or None.
 
-    ``q`` runs over ``0 <= q < M``, one count per distinct twisted state of
-    the ring; larger counts alias ``q mod M`` and are left to the dense path.
-    O(M). Returns None, never raises, for any state or spec the closed form
-    does not cover.
+    Any integer q, negative or past M. O(M); returns None, and never raises
+    or warns, for any other state.
     """
     M = len(theta)
-    if PAIRWISE not in spec.include_orders:
-        return None
-    x = float(theta[1]) * M / TWO_PI
-    if not math.isfinite(x):
-        return None
-    q = round(x)
-    if not 0 <= q < M or not np.array_equal(theta, twisted_state(M, q)):
-        return None
-    return q
+    # a NaN or infinite count, or one too large for the state, builds NaN entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.rint(float(theta[1]) * M / TWO_PI)
+        return int(q) if np.array_equal(theta, twisted_state(M, q)) else None
 
 
 def jacobian_spectrum(theta, spec, weights, n_eigs=None):
     """Real parts of the Jacobian eigenvalues on the pinned coordinates, descending.
 
-    When ``theta`` is bitwise ``twisted_state(M, q)`` with ``0 <= q < M``, and
-    the spec has the pairwise term, this is the closed form of the circulant
-    linearization, in O(M log M) at any M. Any other state gets the dense
-    eigenvalues of the pinned block of :func:`jacobian`, which raises
-    :class:`ResourceLimitError` past ``DENSE_CAP``. ``n_eigs`` keeps only the
-    leading values and must be at least 1; ``None`` keeps all M - 1. The
-    path taken is logged at DEBUG level on the ``twistlab`` logger.
+    At a bitwise ``twisted_state(M, q)``, any integer q and any spec, this is
+    the closed form :func:`_twisted_lattice`, in O(M log M) at any M. Any
+    other state gets the dense eigenvalues of the pinned block of
+    :func:`jacobian`, which raises :class:`ResourceLimitError` past
+    ``DENSE_CAP``. ``n_eigs`` keeps only the leading values and must be at
+    least 1; ``None`` keeps all M - 1. The path taken is logged at DEBUG
+    level on the ``twistlab`` logger.
     """
     theta = _check_state(theta, weights)
     if n_eigs is not None and n_eigs < 1:
         raise ValueError(f"n_eigs must be None or at least 1, got {n_eigs}")
-    q = _twist_count(theta, spec)
+    q = _twist_count(theta)
     if q is not None:
         _log.debug("jacobian_spectrum: closed-form path, M=%d, q=%d", weights.M, q)
-        parts = _twisted_spectrum(q, spec, weights)
+        parts = _twisted_lattice(q, spec, weights)
     else:
         _log.debug("jacobian_spectrum: dense path, M=%d", weights.M)
-        parts = np.sort(np.linalg.eigvals(jacobian(theta, spec, weights)[1:, 1:]).real)[::-1]
+        parts = np.linalg.eigvals(jacobian(theta, spec, weights)[1:, 1:]).real
+    parts = np.sort(parts)[::-1]
     return parts if n_eigs is None else parts[:n_eigs]
 
 
@@ -591,7 +584,8 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
       evaluations: three stages and the new state, which gives the error
       estimate and is the next step's first stage.
 
-    The state returned is pinned: its entry 0 is exactly 0. A non-finite
+    The state returned is pinned: its entry 0 is exactly 0, also with no
+    step taken. A non-finite
     ``theta0`` or a ``tol`` below scipy's LSODA floor ``100 eps`` raises
     ``ValueError``; a step that fails (LSODA) or whose error estimate is NaN
     or whose size falls below roundoff (ETDRK4) raises
@@ -645,6 +639,12 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
         y, t_reached, reason = sol.y[:, -1], float(sol.t[-1]), "t_end"
     return IntegrationResult(theta=y[pos] - y[0], t_reached=t_reached, stop_reason=reason,
                              method=method)
+
+
+def _phi1(z):
+    """``phi_1(z) = (e^z - 1) / z`` of a real array ``z``, with its limit 1 at 0."""
+    zd = np.where(z == 0.0, 1.0, z)
+    return np.where(z == 0.0, 1.0, np.expm1(zd) / zd)
 
 
 # the 17 Taylor coefficients of phi_3 used below |z| = 1; the first one dropped is under 1e-18
@@ -704,7 +704,7 @@ def _etdrk4_step(nonlinear, v, n1, h, nu):
     """
     z = 0.5 * h * nu
     e2 = np.exp(z)
-    w2 = 0.5 * h * _phi(z)[0]
+    w2 = 0.5 * h * _phi1(z)
     a = e2 * v + w2 * n1
     na = nonlinear(a)
     b = e2 * v + w2 * na
@@ -735,9 +735,9 @@ def _integrate_etdrk4(theta0, f0, spec, weights, t_end, tol):
     ``theta0``'s winding number q evolves as ``L delta + N``: ``L`` is that
     state's circulant linearization, diagonal on real-FFT modes with the
     values of :func:`_twisted_lattice` (0 on the constant mode), and
-    ``N = f - mean(f) - L delta``. The splitting is exact for any q; a q near
-    the state only keeps ``N`` small, so that steps are limited by how fast
-    ``N`` changes, not by ``L``'s fastest mode.
+    ``N = f - mean(f) - L delta``. The splitting is exact for any q and any
+    spec; a q near the state only keeps ``N`` small, so that steps are
+    limited by how fast ``N`` changes, not by ``L``'s fastest mode.
 
     Error control is embedded and first-same-as-last (Whalen, Brio &
     Moloney, *J. Comput. Phys.* 280, 2015): each attempt takes one step of
@@ -759,7 +759,7 @@ def _integrate_etdrk4(theta0, f0, spec, weights, t_end, tol):
     M = weights.M
     winding = float(np.sum(wrap_to_pi(np.diff(theta0, append=theta0[0]))))
     q = round(winding / TWO_PI)
-    base = TWO_PI * q * np.arange(M) / M          # twisted_state(M, q), for any sign of q
+    base = twisted_state(M, q)
     nu = np.concatenate(([0.0], _twisted_lattice(q, spec, weights)[:M // 2]))
     evals = 1                                     # f0, evaluated by the caller
 
@@ -856,8 +856,8 @@ def newton_equilibrium(theta_init, spec, weights):
     Steps solve with the pinned block of :func:`jacobian` (``M <= DENSE_CAP``)
     and are halved (at most 30 times) until the residual decreases. Success
     means ``sup |rhs| < NEWTON_TOL`` within ``NEWTON_MAX_ITER`` iterations; a
-    start that meets it returns after 0, at any M. The stability of the
-    result is :func:`jacobian_spectrum` at ``result.theta``.
+    start that meets it returns after 0, at any M, pinned exactly. The
+    stability of the result is :func:`jacobian_spectrum` at ``result.theta``.
     """
     theta = _check_state(theta_init, weights).copy()
     gecon = get_lapack_funcs("gecon", (np.empty((2, 2)),))
@@ -917,7 +917,7 @@ def finite_threshold(q, M, kind=ATTRACTIVE):
 
     def g(r):
         spec = SystemSpec(Params(r), sign=kind)
-        return flip * float(_twisted_spectrum(q, spec, build_weights(M, r))[0])
+        return flip * float(_twisted_lattice(q, spec, build_weights(M, r)).max())
 
     center = spectrum.threshold(
         q, spectrum.ATTRACTIVE_R0 if kind == ATTRACTIVE else spectrum.REPULSIVE_R0

@@ -88,7 +88,8 @@ def test_out_of_range_values_are_usage_errors(tmp_path):
                  ["gamma", "--q-max", "1"],
                  ["simulate", "--M", "100", "--r", "0.7"],
                  ["equilibrium", "--M", "100", "--r=-0.1"],
-                 ["stability-map", "--r", "0.1:x:5", "--lambda", "0:6:3"]):
+                 ["stability-map", "--r", "0.1:x:5", "--lambda", "0:6:3"],
+                 ["thresholds", "--q", "5", "--kind", "attractive", "--M", "0"]):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2, argv
         assert not (tmp_path / "o").exists(), argv
 

@@ -70,6 +70,24 @@ def test_build_weights_riemann_sum():
 def test_twisted_state_examples():
     assert np.allclose(twisted_state(4, 1), [0, math.pi / 2, math.pi, 3 * math.pi / 2])
     assert np.allclose(twisted_state(7, 0), 0.0)
+    # a negative count is the mirror image, bit for bit
+    assert np.array_equal(twisted_state(60, -3), -twisted_state(60, 3))
+
+
+def test_twist_count_recovers_any_integer_count():
+    M = 60
+    for q in (-3, 0, 7, M, M + 3, -2 * M - 1):
+        assert ring._twist_count(twisted_state(M, q)) == q
+    off = twisted_state(M, 7)
+    off[5] = np.nextafter(off[5], np.inf)
+    assert ring._twist_count(off) is None
+    # entry 1 gives the candidate count: NaN and inf give none, and 1e306 at
+    # M = 60 or 1e300 at M = 20000 overflow its state; none raises or warns
+    for n, first in ((M, math.nan), (M, math.inf), (M, 1e300), (M, 1e306), (M, 1e308),
+                     (20000, 1e300)):
+        theta = twisted_state(n, 2)
+        theta[1] = first
+        assert ring._twist_count(theta) is None, (n, first)
 
 
 @pytest.mark.parametrize("M,q,p", [
@@ -227,25 +245,35 @@ def test_row_blocking_does_not_change_results(monkeypatch):
     (Params(0.24, 0.3, 0.0), ("pairwise", "triplet"), "attractive"),
     (Params(0.24, 0.3, 0.2), ("pairwise", "triplet", "quadruplet"), "attractive"),
     (Params(0.13, -0.4, 0.7), ("pairwise", "triplet", "quadruplet"), "attractive"),
+    (Params(0.2, 0.7, 0.0), ("triplet",), "attractive"),
+    (Params(0.3, 0.0, 0.9), ("quadruplet",), "attractive"),
+    (Params(0.13, -0.4, 0.7), ("triplet", "quadruplet"), "attractive"),
 ])
 def test_twisted_spectrum_matches_dense_eigvals(M, p, orders, sign):
-    q = 3
+    # every spec and any integer count: negative, and past M
     w = build_weights(M, p.r)
     spec = SystemSpec(p, sign=sign, include_orders=orders)
-    exact = jacobian_spectrum(twisted_state(M, q), spec, w)
-    dense = np.linalg.eigvals(jacobian(twisted_state(M, q), spec, w)[1:, 1:])
-    assert len(exact) == M - 1
-    assert np.all(np.diff(exact) <= 0.0)
-    assert np.max(np.abs(exact - np.sort(dense.real)[::-1])) <= 1e-12
-    assert np.max(np.abs(dense.imag)) <= 1e-12
+    for q in (3, -3, M + 3):
+        exact = jacobian_spectrum(twisted_state(M, q), spec, w)
+        dense = np.linalg.eigvals(jacobian(twisted_state(M, q), spec, w)[1:, 1:])
+        assert len(exact) == M - 1
+        assert np.all(np.diff(exact) <= 0.0)
+        assert np.max(np.abs(exact - np.sort(dense.real)[::-1])) <= 1e-12, q
+        assert np.max(np.abs(dense.imag)) <= 1e-12
 
 
 def test_twisted_spectrum_runs_past_dense_cap():
     p = Params(0.2, 0.5, 0.0)
     M = DENSE_CAP + 1
-    lead = jacobian_spectrum(twisted_state(M, 2), SystemSpec(p), build_weights(M, p.r))
+    w = build_weights(M, p.r)
+    lead = jacobian_spectrum(twisted_state(M, 2), SystemSpec(p), w)
     expected = np.max(kernel.c1(2, np.arange(1, M), p))
     assert lead[0] == pytest.approx(expected, abs=5.0 / M)
+    # without the pairwise term every mode takes the one value -lam B_q,
+    # which tends to -lam w_hat(r, q)
+    triplet = jacobian_spectrum(twisted_state(M, 2), SystemSpec(p, include_orders=("triplet",)), w)
+    assert len(triplet) == M - 1 and np.all(triplet == triplet[0])
+    assert triplet[0] == pytest.approx(-p.lam * kernel.w_hat(p.r, 2), abs=5.0 / M)
 
 
 def test_jacobian_spectrum_pairs_and_c1_convergence():
@@ -290,7 +318,7 @@ def test_dense_paths_reject_rings_past_dense_cap():
         jacobian_spectrum(perturbed, SystemSpec(p), w, n_eigs=4)
     # the twisted state itself takes the closed form at any M
     assert np.array_equal(jacobian_spectrum(theta, SystemSpec(p), w, n_eigs=4),
-                          ring._twisted_spectrum(2, SystemSpec(p), w)[:4])
+                          np.sort(ring._twisted_lattice(2, SystemSpec(p), w))[::-1][:4])
     # a Newton step needs the dense Jacobian; an equilibrium start takes none
     with pytest.raises(ResourceLimitError):
         newton_equilibrium(perturbed, SystemSpec(p), w)
@@ -307,22 +335,24 @@ def test_jacobian_spectrum_dispatch(monkeypatch):
     theta = twisted_state(M, q)
     one_ulp_off = theta.copy()
     one_ulp_off[M // 2] = np.nextafter(one_ulp_off[M // 2], np.inf)
-    dense_cases = [
-        (one_ulp_off, spec),
+    closed_cases = [
         (twisted_state(M, q + M), spec),
         (-theta, spec),                                        # q = -3
         (theta, SystemSpec(p, include_orders=("triplet",))),  # no pairwise term
     ]
-    oracles = [np.sort(np.linalg.eigvals(jacobian(th, sp, w)[1:, 1:]).real)[::-1]
-               for th, sp in dense_cases]
+    dense_eigs = lambda th, sp: np.sort(np.linalg.eigvals(jacobian(th, sp, w)[1:, 1:]).real)[::-1]
+    oracles = [dense_eigs(th, sp) for th, sp in closed_cases]
+    off_oracle = dense_eigs(one_ulp_off, spec)
 
     def refuse(*args):
         raise AssertionError("dense path taken at a twisted state")
 
     monkeypatch.setattr(ring, "jacobian", refuse)
-    exact = ring._twisted_spectrum(q, spec, w)
+    exact = np.sort(ring._twisted_lattice(q, spec, w))[::-1]
     assert np.array_equal(jacobian_spectrum(theta, spec, w), exact)
     assert np.array_equal(jacobian_spectrum(theta, spec, w, n_eigs=4), exact[:4])
+    for (th, sp), oracle in zip(closed_cases, oracles):
+        assert np.max(np.abs(jacobian_spectrum(th, sp, w) - oracle)) <= 1e-12
     # validation comes first: an unpinned state is an error, not a dense solve
     unpinned = theta.copy()
     unpinned[0] = 0.1
@@ -331,9 +361,8 @@ def test_jacobian_spectrum_dispatch(monkeypatch):
 
     calls = []
     monkeypatch.setattr(ring, "jacobian", lambda *args: calls.append(1) or jacobian(*args))
-    for (th, sp), oracle in zip(dense_cases, oracles):
-        assert np.max(np.abs(jacobian_spectrum(th, sp, w) - oracle)) <= 1e-12
-    assert len(calls) == len(dense_cases)
+    assert np.max(np.abs(jacobian_spectrum(one_ulp_off, spec, w) - off_oracle)) <= 1e-12
+    assert len(calls) == 1
 
 
 def test_jacobian_spectrum_n_eigs_must_be_at_least_one():
@@ -369,9 +398,27 @@ def test_integrate_immediate_equilibrium_stop():
     M, q = 60, 2
     p = Params(0.2)
     w = build_weights(M, p.r)
-    out = integrate(twisted_state(M, q), SystemSpec(p), w, t_end=50.0)
+    theta = twisted_state(M, q)
+    out = integrate(theta, SystemSpec(p), w, t_end=50.0)
     assert out.stop_reason == "equilibrium"
     assert out.t_reached == 0.0
+    assert np.array_equal(out.theta, theta)
+
+
+def test_states_returned_without_work_are_pinned_exactly():
+    # entry 0 off by 1e-13 passes validation; the state is re-pinned there,
+    # so the immediate stop and a Newton run of 0 iterations return 0 in it
+    M, q = 60, 2
+    p = Params(0.2)
+    spec, w = SystemSpec(p), build_weights(M, p.r)
+    start = twisted_state(M, q) + 1e-13
+    out = integrate(start, spec, w, t_end=50.0)
+    eq = newton_equilibrium(start, spec, w)
+    assert (out.stop_reason, out.t_reached, eq.iterations) == ("equilibrium", 0.0, 0)
+    for theta in (out.theta, eq.theta):
+        assert theta[0] == 0.0
+        assert np.max(np.abs(theta - twisted_state(M, q))) <= 1e-15
+    assert start[0] == 1e-13                     # the caller's array is not touched
 
 
 def test_integrate_needs_positive_t_end_and_tol():
@@ -548,6 +595,22 @@ def test_integrate_lsoda_matches_etdrk4():
     assert np.max(np.abs(a.theta - b.theta)) < 1e-8
 
 
+def test_integrate_etdrk4_without_pairwise_term_matches_lsoda():
+    # a triplet-only ring, whose twisted state shifts every mode by -lam B_q
+    # (unstable here): both methods run at tol 1e-11 to a fixed end time and
+    # agree to 1e-8. ETDRK4 takes 4 steps to t = 10; by t = 20 (9 steps) it
+    # lies 1.4e-8 from a DOP853 reference at 1e-13 and LSODA 2.5e-10, because
+    # the embedded estimate reads the local error of these long steps low
+    M, q, p = 120, 3, Params(0.2, 0.7, 0.0)
+    spec, w = SystemSpec(p, include_orders=("triplet",)), build_weights(M, p.r)
+    theta0 = perturb(twisted_state(M, q), 1e-2, seed=1)
+    a = integrate(theta0, spec, w, t_end=10.0)
+    b = _integrate_etdrk4(theta0, spec, w, t_end=10.0)
+    assert (a.method, a.stop_reason, b.stop_reason) == ("lsoda", "t_end", "t_end")
+    assert np.max(np.abs(a.theta - theta0)) > 1e-2
+    assert np.max(np.abs(a.theta - b.theta)) < 1e-8
+
+
 def test_integrate_etdrk4_matches_scipy_rk45():
     # the large_ring spec on a ring 16 times smaller, to a fixed end time;
     # both meet tol 1e-11, so they agree to 1e-8
@@ -606,6 +669,9 @@ def test_phi_functions_match_decimal_series():
     for k, got in enumerate(ring._phi(zs), start=1):
         ref = np.array([phi_series(k, z) for z in zs])
         assert np.max(np.abs(got - ref) / ref) < 2e-15, k
+    # the stage weight's phi_1 alone, 1 at z = 0
+    ref = np.array([phi_series(1, z) for z in zs])
+    assert np.max(np.abs(ring._phi1(zs) - ref) / ref) < 2e-15
 
 
 def test_integrate_etdrk4_failures_are_typed(monkeypatch):
