@@ -43,9 +43,10 @@ __version__ = "0.1.0"
 
 #: Names of ``ring`` the package re-exports; ``ring`` and scipy load on first use.
 _RING_NAMES = frozenset({
-    "CouplingWeights", "EquilibriumResult", "IntegrationResult", "SystemSpec", "build_weights",
-    "finite_threshold", "integrate", "jacobian", "jacobian_spectrum", "newton_equilibrium",
-    "perturb", "rhs", "symmetry_shift", "twisted_state",
+    "BranchRow", "CouplingWeights", "EquilibriumResult", "IntegrationResult", "SystemSpec",
+    "build_weights", "finite_threshold", "follow_branch", "integrate", "jacobian",
+    "jacobian_spectrum", "newton_equilibrium", "perturb", "rhs", "symmetry_shift",
+    "twisted_state",
 })
 
 

@@ -471,16 +471,11 @@ def _threshold_report(q, kind):
     return curve, bifurcation.gamma_pair(curve)
 
 
-def _branch_errors(curve, amp, r, M, start=None):
-    """Order-1 and order-2 profiles on the M-grid, the Newton equilibrium at r
-    from ``start`` (the first profile by default), and its sup-norm distances
-    to both."""
-    from . import ring
-
-    z1, z2 = (bifurcation.branch_profile(curve, amp, order, M) for order in (1, 2))
-    eq = ring.newton_equilibrium(z1.values if start is None else start,
-                                 ring.SystemSpec(Params(r)), ring.build_weights(M, r))
-    return (z1, z2), eq, [float(np.max(np.abs(eq.theta - z.values))) for z in (z1, z2)]
+def _profile_errors(curve, row, M):
+    """Order-1 and order-2 branch profiles at a branch row's amplitude on the
+    M-grid, and the sup-norm distances of the row's equilibrium to both."""
+    profiles = [bifurcation.branch_profile(curve, row.a_app, order, M) for order in (1, 2)]
+    return profiles, [float(np.max(np.abs(row.equilibrium.theta - z.values))) for z in profiles]
 
 
 def _run_branch(cfg):
@@ -490,51 +485,36 @@ def _run_branch(cfg):
     q, s0, M = p["q"], p["s0"], p["M"]
     prov = []
     curve, report = _threshold_report(q, spectrum.ATTRACTIVE_R0)
-    amp = bifurcation.a_app(report, s0)
-    r_m = ring.finite_threshold(q, M, ring.ATTRACTIVE)
+    r_m, (row,) = ring.follow_branch(curve, M, [s0])
+    eq = row.equilibrium
+    (z1, z2), (err1, err2) = _profile_errors(curve, row, M)
     results = {
         "q": q, "s0": s0, "M": M, "r0": curve.base.r, "r0_finite": r_m,
         "ell": report.ell, "gamma1": report.gamma1, "gamma2": report.gamma2,
-        "a_app": amp, "criticality": report.criticality,
+        "a_app": row.a_app, "criticality": report.criticality,
+        "newton_residual": eq.residual_norm,
+        "newton_iterations": eq.iterations,
+        "err_z1": err1, "err_z2": err2,
+        "z2_coefficient": z2.z2_coefficient,
     }
     if q == 5 and abs(s0 + 1e-4) < 1e-12 and M == 1000:
         for name in ("gamma1", "gamma2", "a_app"):
             prov.append([name, "fig5"])
 
-    (z1, z2), eq, (err1, err2) = _branch_errors(curve, amp, r_m + s0, M)
     psi = 2.0 * math.pi * q * z1.x
     profile_rows = [[_fmt(x), _fmt(a), _fmt(b), _fmt(c)]
                     for x, a, b, c in zip(z1.x, psi, z1.values, z2.values)]
-    csvs = {"branch": ("x,psi_q,z1,z2", profile_rows)}
-    results.update({
-        "newton_residual": eq.residual_norm,
-        "newton_iterations": eq.iterations,
-        "err_z1": err1, "err_z2": err2,
-        "z2_coefficient": z2.z2_coefficient,
-    })
-    csvs["equilibrium"] = _state_csv(eq.theta)
+    csvs = {"branch": ("x,psi_q,z1,z2", profile_rows), "equilibrium": _state_csv(eq.theta)}
 
     if p.get("error_scaling"):
-        # natural-parameter continuation in growing |s|: each row after the
-        # first starts from the last equilibrium's deviation from the twisted
-        # state, rescaled to the new amplitude, so that Newton stays on the
-        # branch instead of falling back onto the twisted state
         s_values = [-1e-5, -3e-5, -1e-4, -3e-4, -1e-3]
-        twisted = ring.twisted_state(M, q)
-        err_rows, start, amp_prev = [], None, None
-        for s in s_values:
-            amp_s = bifurcation.a_app(report, s)
-            if start is not None:
-                start = twisted + (start - twisted) * (amp_s / amp_prev)
-            _, eq_s, (err1_s, err2_s) = _branch_errors(curve, amp_s, r_m + s, M, start)
-            err_rows.append([s, amp_s, err1_s, err2_s])
-            start, amp_prev = eq_s.theta, amp_s
+        _, rows = ring.follow_branch(curve, M, s_values)
+        errs = [_profile_errors(curve, r, M)[1] for r in rows]
         logs = np.log(np.abs(np.array(s_values)))
-        slope1 = float(np.polyfit(logs, np.log([r[2] for r in err_rows]), 1)[0])
-        slope2 = float(np.polyfit(logs, np.log([r[3] for r in err_rows]), 1)[0])
-        results.update({"error_slope_z1": slope1, "error_slope_z2": slope2})
-        csvs["error-scaling"] = ("s,a_app,err_z1,err_z2",
-                                 [[_fmt(v) for v in row] for row in err_rows])
+        for col, name in enumerate(("error_slope_z1", "error_slope_z2")):
+            results[name] = float(np.polyfit(logs, np.log([e[col] for e in errs]), 1)[0])
+        csvs["error-scaling"] = ("s,a_app,err_z1,err_z2", [[_fmt(v) for v in (r.s, r.a_app, *e)]
+                                                            for r, e in zip(rows, errs)])
     return results, csvs, prov
 
 

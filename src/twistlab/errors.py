@@ -41,8 +41,15 @@ class NearSymmetryDegenerateError(DomainError):
     """Newton Jacobian is numerically singular along the ring-shift family.
 
     Usually means the iteration started on (or collapsed onto) the symmetry
-    orbit of an equilibrium; try a different initial pattern phase.
+    orbit of an equilibrium; try a different initial pattern phase. ``rcond``
+    is the Jacobian's reciprocal condition, ``residual`` the iterate's
+    ``sup |rhs|``.
     """
+
+    def __init__(self, message, rcond=None, residual=None):
+        super().__init__(message)
+        self.rcond = rcond
+        self.residual = residual
 
 
 class ConvergenceError(DomainError):

@@ -35,7 +35,9 @@ field at the new state, which the next step reuses, controls its steps.
 Damped Newton refinement of an equilibrium runs at most
 ``NEWTON_MAX_ITER`` iterations to the residual ``NEWTON_TOL``, each step on
 the dense Jacobian, and only solves: callers that want the spectrum at the
-solution ask :func:`jacobian_spectrum`.
+solution ask :func:`jacobian_spectrum`. Rows on a bifurcating branch come
+from :func:`follow_branch`, which anchors them at the ring's own threshold
+and continues each from the last.
 
 This is the one module that needs scipy (``solve_ivp`` and the LU routines),
 and it imports it at module level. The package imports this module on first
@@ -61,7 +63,7 @@ from scipy.integrate import LSODA, solve_ivp
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg import get_lapack_funcs
 
-from . import kernel, spectrum
+from . import bifurcation, kernel, spectrum
 from .errors import (
     ConvergenceError,
     NearSymmetryDegenerateError,
@@ -875,7 +877,8 @@ def newton_equilibrium(theta_init, spec, weights):
             raise NearSymmetryDegenerateError(
                 f"Jacobian reciprocal condition {rcond:.2e} at residual {res:.2e}: "
                 "iteration sits on the ring-shift family; restart from a different "
-                "pattern phase"
+                "pattern phase",
+                rcond=float(rcond), residual=float(res),
             )
         delta = lu_solve((lu, piv), -F[1:])
         step = 1.0
@@ -898,6 +901,51 @@ def newton_equilibrium(theta_init, spec, weights):
         f"final residual {res:.3e}",
         iterations=NEWTON_MAX_ITER, residual=float(res),
     )
+
+
+@dataclass(frozen=True)
+class BranchRow:
+    """One equilibrium on a finite-ring branch: curve offset, amplitude, Newton result."""
+
+    s: float
+    a_app: float
+    equilibrium: EquilibriumResult
+
+
+def follow_branch(curve, M, s_values):
+    """Equilibria of the M-ring on the branch that bifurcates along ``curve``.
+
+    ``curve`` is r-linear, direction ``(1, 0, 0)``, through a pairwise
+    crossing of the attractive ring. Its rows are anchored at the ring's own
+    threshold ``r_M = finite_threshold(curve.q, M)``, not at the continuum
+    base: row ``s`` is the :func:`newton_equilibrium` at ``r_M + s``. They are
+    solved in the order given, by natural continuation. The first row starts
+    from the order-1 branch profile; each later one from the previous
+    equilibrium's deviation from the twisted state, rescaled by the ratio of
+    branch amplitudes, which keeps Newton on the branch instead of falling
+    back onto the twisted state. Returns ``(r_M, rows)``, one
+    :class:`BranchRow` per ``s``. Any other curve is a ``ValueError``, and an
+    ``s`` on the side without a branch a ``BranchAbsentError``, before any solve.
+    """
+    if tuple(curve.direction) != (1.0, 0.0, 0.0) or curve.base.lam != 0.0 or curve.base.mu != 0.0:
+        raise ValueError("follow_branch needs an r-linear curve, direction (1, 0, 0), "
+                         f"through a pairwise base; got direction {curve.direction} "
+                         f"at {curve.base}")
+    report = bifurcation.gamma_pair(curve)
+    amps = [bifurcation.a_app(report, s) for s in s_values]
+    r_m = finite_threshold(curve.q, M, ATTRACTIVE)
+    twisted = twisted_state(M, curve.q)
+    rows = []
+    for s, amp in zip(s_values, amps):
+        if rows:
+            prev = rows[-1]
+            start = twisted + (prev.equilibrium.theta - twisted) * (amp / prev.a_app)
+        else:
+            start = bifurcation.branch_profile(curve, amp, 1, M).values
+        r = r_m + s
+        eq = newton_equilibrium(start, SystemSpec(Params(r)), build_weights(M, r))
+        rows.append(BranchRow(s=s, a_app=amp, equilibrium=eq))
+    return r_m, rows
 
 
 def finite_threshold(q, M, kind=ATTRACTIVE):

@@ -383,14 +383,19 @@ def test_closed_form_commands_import_no_scipy(tmp_path):
 
 
 def test_stability_map_rerun_is_byte_identical(tmp_path):
-    args = ["stability-map", "--q", "8", "--r", "0.2:0.4:6", "--lambda", "0:6:9",
-            "--tol", "1e-3"]
-    _, out = run(args, tmp_path, "t1")
-    before = {name: (out / name).read_bytes()
-              for name in ("grid.csv", "boundary.csv", "stability-map.json")}
-    # identical config (including out dir): byte-identical files
-    assert main(args + ["--out", str(out)]) == 0
-    assert {name: (out / name).read_bytes() for name in before} == before
+    runs = {
+        "t1": (["stability-map", "--q", "8", "--r", "0.2:0.4:6", "--lambda", "0:6:9",
+                "--tol", "1e-3"], ("grid.csv", "boundary.csv", "stability-map.json")),
+        # Newton's LU solves, row after row of the branch continuation
+        "t2": (["branch", "--q", "5", "--s0=-1e-4", "--M", "200", "--error-scaling"],
+               ("branch.csv", "equilibrium.csv", "error-scaling.csv", "branch.json")),
+    }
+    for name, (args, files) in runs.items():
+        _, out = run(args, tmp_path, name)
+        before = {f: (out / f).read_bytes() for f in files}
+        # identical config (including out dir): byte-identical files
+        assert main(args + ["--out", str(out)]) == 0
+        assert {f: (out / f).read_bytes() for f in before} == before, args[0]
 
 
 def test_stability_map_range_errors_are_usage_errors(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from twistlab import kernel, ring, spectrum
 from twistlab.errors import (
+    BranchAbsentError,
     ConvergenceError,
     NearSymmetryDegenerateError,
     NoBifurcationError,
@@ -862,24 +863,29 @@ def test_newton_from_twisted_state_is_immediate():
     assert eq.residual_norm < 1e-12
 
 
+def _attractive_curve(q):
+    """The r-linear curve through the attractive q-crossing, as ``branch`` builds it."""
+    from twistlab import bifurcation
+
+    return bifurcation.linear_curve(q, 1, Params(spectrum.threshold(q, spectrum.ATTRACTIVE_R0)),
+                                    (1.0, 0.0, 0.0))
+
+
 def test_newton_converges_to_branch_equilibrium():
     from twistlab import bifurcation
 
     q, M, s0 = 5, 400, -1e-4
-    r0 = spectrum.threshold(q, spectrum.ATTRACTIVE_R0)
-    curve = bifurcation.linear_curve(q, 1, Params(r0), (1.0, 0.0, 0.0))
-    rep = bifurcation.gamma_pair(curve)
-    amp = bifurcation.a_app(rep, s0)
-    r_m = finite_threshold(q, M, "attractive")
+    curve = _attractive_curve(q)
+    r_m, (row,) = ring.follow_branch(curve, M, [s0])
+    eq, amp = row.equilibrium, row.a_app
     z1 = bifurcation.branch_profile(curve, amp, 1, M)
     z2 = bifurcation.branch_profile(curve, amp, 2, M)
-    w = build_weights(M, r_m + s0)
-    eq = newton_equilibrium(z1.values.copy(), SystemSpec(Params(r_m + s0)), w)
     assert eq.residual_norm < 1e-12
     err1 = np.max(np.abs(eq.theta - z1.values))
     err2 = np.max(np.abs(eq.theta - z2.values))
     assert err2 < err1 < amp / 2  # lands on the branch, not back on the twisted state
     # shifted copies are equilibria too
+    w = build_weights(M, r_m + s0)
     for j in (1, 57):
         shifted = symmetry_shift(eq.theta, j)
         assert np.max(np.abs(rhs(shifted, SystemSpec(Params(r_m + s0)), w))) < 1e-10
@@ -889,12 +895,45 @@ def _branch_start(q, M, s, order):
     """Order-``order`` branch profile of the attractive q-crossing and the spec at ``r_M + s``."""
     from twistlab import bifurcation
 
-    r0 = spectrum.threshold(q, spectrum.ATTRACTIVE_R0)
-    curve = bifurcation.linear_curve(q, 1, Params(r0), (1.0, 0.0, 0.0))
+    curve = _attractive_curve(q)
     amp = bifurcation.a_app(bifurcation.gamma_pair(curve), s)
     r = finite_threshold(q, M, "attractive") + s
     profile = bifurcation.branch_profile(curve, amp, order, M)
     return profile.values.copy(), SystemSpec(Params(r)), build_weights(M, r)
+
+
+def test_follow_branch_rows_stay_on_the_branch():
+    from twistlab import bifurcation
+
+    # the five rows of `branch --error-scaling`, at M=200
+    q, M = 5, 200
+    s_values = [-1e-5, -3e-5, -1e-4, -3e-4, -1e-3]
+    curve = _attractive_curve(q)
+    report = bifurcation.gamma_pair(curve)
+    r_m, rows = ring.follow_branch(curve, M, s_values)
+    assert r_m == finite_threshold(q, M, "attractive")
+    assert [row.s for row in rows] == s_values
+    for row in rows:
+        assert row.a_app == bifurcation.a_app(report, row.s)
+        assert row.equilibrium.residual_norm < ring.NEWTON_TOL
+        # continuation keeps every row on the branch, off the twisted state
+        assert np.max(np.abs(row.equilibrium.theta - twisted_state(M, q))) > row.a_app / 2, row.s
+    # row 0 is Newton from the order-1 profile at r_M + s, criterion 4's route
+    first = newton_equilibrium(*_branch_start(q, M, s_values[0], 1))
+    assert np.array_equal(rows[0].equilibrium.theta, first.theta)
+    assert (rows[0].equilibrium.residual_norm, rows[0].equilibrium.iterations) == (
+        first.residual_norm, first.iterations)
+
+    assert ring.follow_branch(curve, M, []) == (r_m, [])
+    # not an r-linear curve through a pairwise base: a lambda-linear curve, and
+    # an r-linear one through a crossing with lam != 0
+    base = Params(0.3, kernel.lambda0(8, 0.3))
+    for direction in ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="r-linear"):
+            ring.follow_branch(bifurcation.linear_curve(8, 8, base, direction), M, s_values)
+    # the attractive branch lives at s < 0
+    with pytest.raises(BranchAbsentError):
+        ring.follow_branch(curve, M, [1e-4])
 
 
 def test_newton_raises_near_symmetry_degenerate_on_the_shift_family():
@@ -902,8 +941,12 @@ def test_newton_raises_near_symmetry_degenerate_on_the_shift_family():
     # the iteration falls onto the ring-shift family and its LU goes singular
     theta0, spec, w = _branch_start(5, 400, -1e-3, 2)
     with pytest.raises(NearSymmetryDegenerateError,
-                       match=r"reciprocal condition .* at residual "):
+                       match=r"reciprocal condition .* at residual ") as info:
         newton_equilibrium(theta0, spec, w)
+    err = info.value
+    assert 0.0 < err.rcond < ring._RCOND_LIMIT
+    assert ring.NEWTON_TOL <= err.residual < np.max(np.abs(rhs(theta0, spec, w)))
+    assert f"{err.rcond:.2e}" in str(err) and f"{err.residual:.2e}" in str(err)
 
 
 def test_newton_convergence_error_carries_iterations_and_residual(monkeypatch):
