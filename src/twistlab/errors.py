@@ -70,5 +70,10 @@ class StiffnessError(DomainError):
 
 
 class ResourceLimitError(DomainError):
-    """Problem size exceeds the configured dense-solver cap."""
+    """Problem size exceeds the configured dense-solver cap: ring size ``M`` against ``cap``."""
+
+    def __init__(self, message, M=None, cap=None):
+        super().__init__(message)
+        self.M = M
+        self.cap = cap
 

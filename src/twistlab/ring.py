@@ -31,7 +31,9 @@ Jacobian (:func:`_band_jacobian`) for a pairwise ring of short range, with
 the dense :func:`_unpinned_jacobian` for every other spec. Above the cap it
 is ETDRK4, an exponential integrator that takes that closed form, diagonal
 in Fourier space, exactly and needs no matrix; an embedded estimate from the
-field at the new state, which the next step reuses, controls its steps.
+field at the new state, which the next step reuses, controls its steps. Both
+methods call one counted field and one stop test, and the one result
+reports what the run cost.
 Damped Newton refinement of an equilibrium runs at most
 ``NEWTON_MAX_ITER`` iterations to the residual ``NEWTON_TOL``, each step on
 the dense Jacobian, and only solves: callers that want the spectrum at the
@@ -409,7 +411,8 @@ def jacobian(theta, spec, weights):
     """
     theta = _check_state(theta, weights)
     if weights.M > DENSE_CAP:
-        raise ResourceLimitError(f"dense Jacobian needs M <= {DENSE_CAP}; got M={weights.M}")
+        raise ResourceLimitError(f"dense Jacobian needs M <= {DENSE_CAP}; got M={weights.M}",
+                                 M=weights.M, cap=DENSE_CAP)
     A = _unpinned_jacobian(theta, spec, weights)
     A[1:] -= A[0]
     A[0] = A[:, 0] = 0.0
@@ -554,6 +557,10 @@ class IntegrationResult:
     t_reached: float
     stop_reason: str                      # "equilibrium" or "t_end"
     method: str                           # "lsoda" (M <= DENSE_CAP) or "etdrk4"
+    steps: int                            # accepted steps
+    rhs_evals: int                        # field evaluations: at t = 0, in the method, in the stop
+    stop_evals: int                       # of those, the ones made only for the stop
+    jacobians: int                        # LSODA's Jacobian fills; 0 for ETDRK4
 
 
 def integrate(theta0, spec, weights, t_end, tol=1e-11):
@@ -576,9 +583,7 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
       (:func:`_band_jacobian`) takes it in the fold order, where its
       Jacobian is a band that LSODA factors in O(bw^2 M) (the pinned
       Jacobian is dense through its rank-one pinning term); every other
-      spec takes the dense :func:`_unpinned_jacobian`. The storage, the
-      half-bandwidth and the solver's counts are logged at DEBUG level on
-      the ``twistlab`` logger.
+      spec takes the dense :func:`_unpinned_jacobian`.
     - larger rings: ETDRK4, ``"etdrk4"``, which integrates the closed-form
       linearization at the twisted state of ``theta0``'s winding number
       exactly and only the remainder by Runge-Kutta stages
@@ -591,9 +596,15 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
     ``theta0`` or a ``tol`` below scipy's LSODA floor ``100 eps`` raises
     ``ValueError``; a step that fails (LSODA) or whose error estimate is NaN
     or whose size falls below roundoff (ETDRK4) raises
-    :class:`StiffnessError` with the time reached. At each accepted step the
-    equilibrium stop reads the pinned field at the new state, and root
-    finding locates the stop inside the step.
+    :class:`StiffnessError` with the time reached. Both methods share one
+    stop test, ``sup |f| - EQUILIBRIUM_TOL`` on the pinned field ``f``: at
+    t = 0, at each accepted step, and in the root finding that locates the
+    stop inside the step. The result reports what the run cost: its
+    accepted ``steps``, ``rhs_evals`` (every field evaluation of the call),
+    ``stop_evals`` (those made only for the stop: LSODA's event calls,
+    ETDRK4's root finding) and LSODA's ``jacobians``. The same counts, with
+    LSODA's Jacobian storage and half-bandwidth, are logged at DEBUG level
+    on the ``twistlab`` logger.
     """
     theta0 = _check_state(theta0, weights)
     if not np.all(np.isfinite(theta0)):
@@ -603,50 +614,49 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
     if not t_end > 0:   # so does a NaN t_end, which would hang
         raise ValueError(f"t_end must be positive, got {t_end}")
     method = "lsoda" if weights.M <= DENSE_CAP else "etdrk4"
-    f = lambda th: _rhs_fft(th, spec, weights)
+    evals = [0, 0]                                # field evaluations: all, only for the stop
 
-    f0 = f(theta0)
-    if np.max(np.abs(f0)) < EQUILIBRIUM_TOL:
-        return IntegrationResult(theta=theta0.copy(), t_reached=0.0,
-                                 stop_reason="equilibrium", method=method)
-    if method == "etdrk4":
-        return _integrate_etdrk4(theta0, f0, spec, weights, t_end, tol)
+    def field(theta, pinned=True, stop=False):
+        evals[0] += 1
+        evals[1] += stop
+        return _rhs_fft(theta, spec, weights, pinned)
 
-    band = _band_jacobian(spec, weights)
-    if band is None:
-        order = pos = slice(None)
-        options = {"jac": lambda t, y: _unpinned_jacobian(y, spec, weights)}
-        storage = "dense jacobian"
+    excess = lambda f: float(np.max(np.abs(f))) - EQUILIBRIUM_TOL   # the stop test
+
+    f0 = field(theta0)
+    storage, jacobians = "", 0
+    if excess(f0) < 0.0:
+        theta, t_reached, reason, steps = theta0, 0.0, "equilibrium", 0
+    elif method == "etdrk4":
+        theta, t_reached, reason, steps = _integrate_etdrk4(theta0, f0, field, excess, spec,
+                                                            weights, t_end, tol)
     else:
-        order, pos, bw, fill = band
-        options = {"jac": lambda t, y: fill(y), "lband": bw, "uband": bw}
-        storage = f"band jacobian, half-bandwidth {bw}"
-    field = lambda t, y: _rhs_fft(y[pos], spec, weights, pinned=False)[order]
-
-    def event(t, y):
-        return float(np.max(np.abs(f(y[pos]))) - EQUILIBRIUM_TOL)
-
-    event.terminal = True
-    event.direction = -1
-    sol = solve_ivp(field, (0.0, t_end), theta0[order], method=_LSODA, rtol=tol, atol=tol,
-                    events=event, **options)
-    _log.debug("integrate: lsoda, %s, %d steps, %d rhs evaluations, %d jacobians",
-               storage, len(sol.t) - 1, sol.nfev, sol.njev)
-    if sol.status == -1:
-        raise StiffnessError(f"integration step failed: {sol.message}",
-                             t_reached=float(sol.t[-1]))
-    if sol.status == 1:
-        y, t_reached, reason = sol.y_events[0][0], float(sol.t_events[0][0]), "equilibrium"
-    else:
-        y, t_reached, reason = sol.y[:, -1], float(sol.t[-1]), "t_end"
-    return IntegrationResult(theta=y[pos] - y[0], t_reached=t_reached, stop_reason=reason,
-                             method=method)
-
-
-def _phi1(z):
-    """``phi_1(z) = (e^z - 1) / z`` of a real array ``z``, with its limit 1 at 0."""
-    zd = np.where(z == 0.0, 1.0, z)
-    return np.where(z == 0.0, 1.0, np.expm1(zd) / zd)
+        band = _band_jacobian(spec, weights)
+        if band is None:
+            order = pos = slice(None)
+            options = {"jac": lambda t, y: _unpinned_jacobian(y, spec, weights)}
+            storage = "dense jacobian, "
+        else:
+            order, pos, bw, fill = band
+            options = {"jac": lambda t, y: fill(y), "lband": bw, "uband": bw}
+            storage = f"band jacobian, half-bandwidth {bw}, "
+        event = lambda t, y: excess(field(y[pos], stop=True))
+        event.terminal, event.direction = True, -1
+        sol = solve_ivp(lambda t, y: field(y[pos], pinned=False)[order], (0.0, t_end),
+                        theta0[order], method=_LSODA, rtol=tol, atol=tol, events=event, **options)
+        if sol.status == -1:
+            raise StiffnessError(f"integration step failed: {sol.message}",
+                                 t_reached=float(sol.t[-1]))
+        if sol.status == 1:
+            y, t_reached, reason = sol.y_events[0][0], float(sol.t_events[0][0]), "equilibrium"
+        else:
+            y, t_reached, reason = sol.y[:, -1], float(sol.t[-1]), "t_end"
+        theta, steps, jacobians = y[pos], len(sol.t) - 1, int(sol.njev)
+    _log.debug("integrate: %s, %s%d steps, %d rhs evaluations, %d in the stop, %d jacobians",
+               method, storage, steps, evals[0], evals[1], jacobians)
+    return IntegrationResult(theta=theta - theta[0], t_reached=t_reached, stop_reason=reason,
+                             method=method, steps=steps, rhs_evals=evals[0],
+                             stop_evals=evals[1], jacobians=jacobians)
 
 
 # the 17 Taylor coefficients of phi_3 used below |z| = 1; the first one dropped is under 1e-18
@@ -706,7 +716,7 @@ def _etdrk4_step(nonlinear, v, n1, h, nu):
     """
     z = 0.5 * h * nu
     e2 = np.exp(z)
-    w2 = 0.5 * h * _phi1(z)
+    w2 = 0.5 * h * _phi(z)[0]
     a = e2 * v + w2 * n1
     na = nonlinear(a)
     b = e2 * v + w2 * na
@@ -728,7 +738,7 @@ def _etdrk4_error(stages, n_new, h, phi):
     return h * (phi[1] - 4.0 * phi[2]) * (n_new - stages[3])
 
 
-def _integrate_etdrk4(theta0, f0, spec, weights, t_end, tol):
+def _integrate_etdrk4(theta0, f0, field, excess, spec, weights, t_end, tol):
     """:func:`integrate` above ``DENSE_CAP``: adaptive ETDRK4 on the twisted-state diagonal.
 
     The state follows the mean-free field ``f - mean(f)`` of ``f = _rhs_fft``;
@@ -755,20 +765,17 @@ def _integrate_etdrk4(theta0, f0, spec, weights, t_end, tol):
     ``tol / EQUILIBRIUM_TOL`` in time: the state moves at about
     ``EQUILIBRIUM_TOL`` there, so by about ``tol`` within that. The stop
     returned is the earliest time Brent evaluated at which the stop holds,
-    so the state meets it. Counts go to the ``twistlab`` logger at DEBUG
-    level.
+    so the state meets it.
+
+    ``field`` is :func:`integrate`'s counted pinned field, ``f0`` its value
+    at ``theta0`` and ``excess`` its stop test. Returns the unpinned final
+    state, the time reached, the stop reason and the accepted steps.
     """
     M = weights.M
     winding = float(np.sum(wrap_to_pi(np.diff(theta0, append=theta0[0]))))
     q = round(winding / TWO_PI)
     base = twisted_state(M, q)
     nu = np.concatenate(([0.0], _twisted_lattice(q, spec, weights)[:M // 2]))
-    evals = 1                                     # f0, evaluated by the caller
-
-    def field(theta):
-        nonlocal evals
-        evals += 1
-        return _rhs_fft(theta, spec, weights)
 
     def split(f, v):
         F = np.fft.rfft(f)
@@ -777,7 +784,6 @@ def _integrate_etdrk4(theta0, f0, spec, weights, t_end, tol):
 
     state = lambda v: base + np.fft.irfft(v, M)
     nonlinear = lambda v: split(field(state(v)), v)
-    excess = lambda f: float(np.max(np.abs(f))) - EQUILIBRIUM_TOL
 
     t, theta, v = 0.0, theta0, np.fft.rfft(theta0 - base)
     n1, g = split(f0, v), excess(f0)
@@ -785,8 +791,7 @@ def _integrate_etdrk4(theta0, f0, spec, weights, t_end, tol):
     scale = tol + tol * np.abs(theta0)
     d0, d1 = rms((theta0 - base) / scale), rms((f0 - np.mean(f0)) / scale)
     h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1   # scipy's first guess, on delta
-    accepted = rejected = 0
-    shrunk = False
+    accepted, shrunk = 0, False
     while True:
         if h < 10.0 * (np.nextafter(t, np.inf) - t):
             raise StiffnessError(f"ETDRK4 step size {h:.3e} fell below roundoff at t={t:.6g}",
@@ -804,7 +809,6 @@ def _integrate_etdrk4(theta0, f0, spec, weights, t_end, tol):
             raise StiffnessError(f"ETDRK4 error estimate is NaN at t={t:.6g}", t_reached=t)
         if err > 1.0:
             h *= max(0.2, 0.9 * err ** -0.25)
-            rejected += 1
             shrunk = True
             continue
         factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.25)
@@ -818,31 +822,24 @@ def _integrate_etdrk4(theta0, f0, spec, weights, t_end, tol):
         theta, v, n1, g = theta_new, v_new, n_new, g_new
         h *= factor
         shrunk = False
-    roots = 0
     if g_new <= 0.0:
         a, b = t_old, t
         at = lambda tt: state(_etdrk4_state(v, stages, h, tt - a, nu, _phi((tt - a) * nu)))
         below = []                                # times seen where the stop holds
 
         def stop(tt):
-            g_tt = g if tt == a else g_new if tt == b else excess(field(at(tt)))
+            g_tt = g if tt == a else g_new if tt == b else excess(field(at(tt), stop=True))
             if g_tt <= 0.0:
                 below.append(tt)
             return g_tt
 
-        before = evals
         kernel._brentq(stop, a, b, xtol=tol / EQUILIBRIUM_TOL)
-        roots = evals - before
         # brentq may end on either side of the root; the earliest time seen
         # below it lies within xtol of the root and meets the stop
         t = min(below)
         if t < b:
             theta_new = at(t)
-    _log.debug("integrate: etdrk4, %d steps, %d rejected, %d rhs evaluations, %d in the stop",
-               accepted, rejected, evals, roots)
-    return IntegrationResult(theta=theta_new - theta_new[0], t_reached=float(t),
-                             stop_reason="equilibrium" if g_new <= 0.0 else "t_end",
-                             method="etdrk4")
+    return theta_new, float(t), "equilibrium" if g_new <= 0.0 else "t_end", accepted
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ equilibrium entry starts on the twisted state, so Newton takes no step and
 its eigenvalues come in closed form), so a change that leaves the numerics
 alone leaves every byte of them alone. The roots the package's Brent
 solver finds outside these commands (finite-ring thresholds and upsilon0)
-are pinned by their ``float.hex`` digits. The bytes were recorded on x86-64
+are pinned by their ``float.hex`` digits, and two finite-ring runs by their
+end time, final state and counts. The bytes were recorded on x86-64
 Linux with NumPy 2.4.6; another platform's math library may move last
 digits.
 """
@@ -106,3 +107,33 @@ def test_upsilon0_matches_golden_bits():
     from twistlab.kernel import upsilon0
 
     assert upsilon0().hex() == GOLDEN_UPSILON0
+
+
+#: ``integrate`` runs at one OpenBLAS thread, tol 1e-11, t_end 2e6, from
+#: ``perturb(twisted_state(M, q), 1e-2, 1)``: ``t_reached`` as float.hex, the
+#: final state's SHA-256 prefix, and ``(steps, rhs_evals, stop_evals,
+#: jacobians)``. fig6 is the repulsive M=1000, q=5 ring 1e-5 inside its
+#: threshold (LSODA, band Jacobian); large_ring the stable M=65536, q=8 ring
+#: with all three orders (ETDRK4).
+GOLDEN_RUNS = {
+    "fig6": ("0x1.0d9961107921ep+19", "a11beaa2dfd7c3ee", (686, 1799, 711, 71)),
+    "large_ring": ("0x1.11691ac26b206p+9", "c3bc09f3e196459d", (8, 42, 9, 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_integrate_runs_match_golden_bits_and_counts(name):
+    from twistlab import ring
+    from twistlab.kernel import Params
+
+    if name == "fig6":
+        M, q, sign = 1000, 5, ring.REPULSIVE
+        p = Params(ring.finite_threshold(q, M, sign) - 1e-5)
+    else:
+        M, q, sign, p = 65536, 8, ring.ATTRACTIVE, Params(0.3, 6.0, 0.2)
+    theta0 = ring.perturb(ring.twisted_state(M, q), 1e-2, 1)
+    out = ring.integrate(theta0, ring.SystemSpec(p, sign=sign), ring.build_weights(M, p.r),
+                         t_end=2e6, tol=1e-11)
+    assert out.stop_reason == "equilibrium"
+    counts = (out.steps, out.rhs_evals, out.stop_evals, out.jacobians)
+    assert (out.t_reached.hex(), _sha256(out.theta.tobytes())[:16], counts) == GOLDEN_RUNS[name]

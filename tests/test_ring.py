@@ -1,6 +1,5 @@
 import logging
 import math
-import re
 
 import numpy as np
 import pytest
@@ -313,16 +312,19 @@ def test_dense_paths_reject_rings_past_dense_cap():
     w = build_weights(M, p.r)
     theta = twisted_state(M, 2)
     perturbed = perturb(theta, 1e-3, seed=1)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as info:
         jacobian(theta, SystemSpec(p), w)
-    with pytest.raises(ResourceLimitError):
+    assert (info.value.M, info.value.cap) == (M, DENSE_CAP)
+    with pytest.raises(ResourceLimitError) as info:
         jacobian_spectrum(perturbed, SystemSpec(p), w, n_eigs=4)
+    assert (info.value.M, info.value.cap) == (M, DENSE_CAP)
     # the twisted state itself takes the closed form at any M
     assert np.array_equal(jacobian_spectrum(theta, SystemSpec(p), w, n_eigs=4),
                           np.sort(ring._twisted_lattice(2, SystemSpec(p), w))[::-1][:4])
     # a Newton step needs the dense Jacobian; an equilibrium start takes none
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as info:
         newton_equilibrium(perturbed, SystemSpec(p), w)
+    assert (info.value.M, info.value.cap) == (M, DENSE_CAP)
     eq = newton_equilibrium(theta, SystemSpec(p), w)
     assert eq.iterations == 0 and eq.residual_norm < ring.NEWTON_TOL
     assert np.array_equal(eq.theta, theta)
@@ -400,10 +402,12 @@ def test_integrate_immediate_equilibrium_stop():
     p = Params(0.2)
     w = build_weights(M, p.r)
     theta = twisted_state(M, q)
-    out = integrate(theta, SystemSpec(p), w, t_end=50.0)
-    assert out.stop_reason == "equilibrium"
-    assert out.t_reached == 0.0
-    assert np.array_equal(out.theta, theta)
+    # one field evaluation, and neither method takes a step
+    for run in (integrate, _integrate_etdrk4):
+        out = run(theta, SystemSpec(p), w, t_end=50.0)
+        assert (out.stop_reason, out.t_reached) == ("equilibrium", 0.0)
+        assert (out.steps, out.rhs_evals, out.stop_evals, out.jacobians) == (0, 1, 0, 0)
+        assert np.array_equal(out.theta, theta)
 
 
 def test_states_returned_without_work_are_pinned_exactly():
@@ -462,34 +466,18 @@ def test_integrate_relaxes_to_stable_twisted_state():
     assert np.max(np.abs(wrap_to_pi(out.theta - twisted_state(M, q)))) < 1e-6
 
 
-def _count_integrate_calls(monkeypatch):
-    """Count field evaluations, pinned or not, and the stop's root-finding
-    evaluations; keep each solver result."""
-    import scipy.integrate._ivp.ivp as ivp
+def _count_rhs_calls(monkeypatch):
+    """Count ``_rhs_fft`` calls: all of them, and those of the unpinned field."""
+    counts = {"all": 0, "unpinned": 0}
+    rhs_fft = ring._rhs_fft
 
-    counts = {"rhs": 0, "root": 0}
-    solver = []
-    rhs_fft, solve_ivp, solve_event = ring._rhs_fft, ring.solve_ivp, ivp.solve_event_equation
+    def counted(theta, spec, weights, pinned=True):
+        counts["all"] += 1
+        counts["unpinned"] += not pinned
+        return rhs_fft(theta, spec, weights, pinned=pinned)
 
-    def counted_rhs(*args, **kwargs):
-        counts["rhs"] += 1
-        return rhs_fft(*args, **kwargs)
-
-    def counted_solve(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        solver.append(sol)
-        return sol
-
-    def counted_event_solve(event, sol, t_old, t):
-        def counted_event(tt, y):
-            counts["root"] += 1
-            return event(tt, y)
-        return solve_event(counted_event, sol, t_old, t)
-
-    monkeypatch.setattr(ring, "_rhs_fft", counted_rhs)
-    monkeypatch.setattr(ring, "solve_ivp", counted_solve)
-    monkeypatch.setattr(ivp, "solve_event_equation", counted_event_solve)
-    return counts, solver
+    monkeypatch.setattr(ring, "_rhs_fft", counted)
+    return counts
 
 
 def _attractive_relaxation_case():
@@ -508,19 +496,11 @@ def _integrate_etdrk4(theta0, spec, weights, **kwargs):
     return out
 
 
-def _etdrk4_log(caplog):
-    """(steps, rejected, rhs evaluations, evaluations in the stop) of the last etdrk4 run."""
-    (msg,) = [r.getMessage() for r in caplog.records if r.name == "twistlab"][-1:]
-    m = re.fullmatch(r"integrate: etdrk4, (\d+) steps, (\d+) rejected, "
-                     r"(\d+) rhs evaluations, (\d+) in the stop", msg)
-    return tuple(int(g) for g in m.groups())
-
-
-def test_integrate_etdrk4_counts_every_field_evaluation(monkeypatch, caplog):
+def test_integrate_etdrk4_counts_every_field_evaluation(monkeypatch):
     # one evaluation up front, four per attempted step (three stages and
     # the new state, which the error estimate needs whether or not the step
     # is accepted), one per interior point of the stop's root finding
-    counts, _ = _count_integrate_calls(monkeypatch)
+    counts = _count_rhs_calls(monkeypatch)
     step_calls = []
     step = ring._etdrk4_step
     monkeypatch.setattr(ring, "_etdrk4_step", lambda *a: step_calls.append(a[3]) or step(*a))
@@ -530,47 +510,41 @@ def test_integrate_etdrk4_counts_every_field_evaluation(monkeypatch, caplog):
     far = perturb(twisted_state(M, 0), 3.0, seed=2), SystemSpec(Params(r)), build_weights(M, r)
     cases = [((theta0, spec, w), 5.0, "t_end"), ((theta0, spec, w), float("inf"), "equilibrium"),
              (far, 100.0, "equilibrium")]
-    logged = []
+    rejected = []
     for (th, sp, wt), t_end, reason in cases:
-        counts["rhs"] = 0
+        counts["all"] = 0
         step_calls.clear()
-        with caplog.at_level(logging.DEBUG, logger="twistlab"):
-            out = _integrate_etdrk4(th, sp, wt, t_end=t_end, tol=1e-10)
-        steps, rejected, evals, in_stop = _etdrk4_log(caplog)
-        assert out.stop_reason == reason and steps > 0
-        assert len(step_calls) == steps + rejected
-        assert counts["rhs"] == evals == 1 + 4 * (steps + rejected) + in_stop
-        assert (in_stop > 0) == (reason == "equilibrium")
+        out = _integrate_etdrk4(th, sp, wt, t_end=t_end, tol=1e-10)
+        assert out.stop_reason == reason and out.steps > 0 and out.jacobians == 0
+        assert counts["all"] == out.rhs_evals == 1 + 4 * len(step_calls) + out.stop_evals
+        assert (out.stop_evals > 0) == (reason == "equilibrium")
         assert reason == "t_end" or np.max(np.abs(rhs(out.theta, sp, wt))) < 1.01e-10
-        logged.append(rejected)
-    assert logged[0] == logged[1] == 0 < logged[2]
+        rejected.append(len(step_calls) - out.steps)
+    assert rejected[0] == rejected[1] == 0 < rejected[2]
 
 
 def test_integrate_lsoda_stop_costs_one_field_per_accepted_step(monkeypatch):
     # lsoda does not end a step with a field evaluation at the state it
-    # accepts, so the stop pays one per accepted step and one per root point
-    counts, solver = _count_integrate_calls(monkeypatch)
+    # accepts, so the stop pays one at t = 0 (again), one per accepted step
+    # and one per root point; the rest is lsoda's unpinned field
+    counts = _count_rhs_calls(monkeypatch)
     spec, w, theta0 = _attractive_relaxation_case()
-
     out = integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
-    sol = solver[-1]
-    steps = len(sol.t) - 1
     assert out.method == "lsoda" and out.stop_reason == "equilibrium"
-    assert 0 < counts["root"] < steps
-    assert sol.nfev + 2 <= counts["rhs"] <= sol.nfev + 2 + steps + counts["root"]
+    assert counts["all"] == out.rhs_evals
+    assert counts["unpinned"] == out.rhs_evals - out.stop_evals - 1
+    assert 0 < out.stop_evals - 1 - out.steps < out.steps
     # the slow relaxation turns stiff, and the analytic band Jacobian takes over
-    assert sol.njev > 0
+    assert out.jacobians > 0
 
 
-def test_integrate_default_builds_no_jacobian_while_not_stiff(monkeypatch):
+def test_integrate_default_builds_no_jacobian_while_not_stiff():
     # far from any threshold the ring relaxes in t ~ 100 with steps bounded by
     # accuracy: the default stays explicit and never pays for a dense LU
-    counts, solver = _count_integrate_calls(monkeypatch)
     q, M, r = 5, 400, 0.3
     spec, w = SystemSpec(Params(r)), build_weights(M, r)
     out = integrate(perturb(twisted_state(M, q), 1e-2, seed=1), spec, w, t_end=1e3)
-    assert (out.method, out.stop_reason) == ("lsoda", "equilibrium")
-    assert solver[-1].njev == 0 and solver[-1].nlu == 0
+    assert (out.method, out.stop_reason, out.jacobians) == ("lsoda", "equilibrium", 0)
 
 
 def test_integrate_lsoda_matches_etdrk4():
@@ -670,9 +644,6 @@ def test_phi_functions_match_decimal_series():
     for k, got in enumerate(ring._phi(zs), start=1):
         ref = np.array([phi_series(k, z) for z in zs])
         assert np.max(np.abs(got - ref) / ref) < 2e-15, k
-    # the stage weight's phi_1 alone, 1 at z = 0
-    ref = np.array([phi_series(1, z) for z in zs])
-    assert np.max(np.abs(ring._phi1(zs) - ref) / ref) < 2e-15
 
 
 def test_integrate_etdrk4_failures_are_typed(monkeypatch):
@@ -786,15 +757,13 @@ def _dense_lsoda(theta0, spec, weights, t_end, tol=1e-11):
 
 
 def test_integrate_takes_the_band_for_narrow_pairwise_rings_only(monkeypatch):
-    _, solver = _count_integrate_calls(monkeypatch)
     dense = ring._unpinned_jacobian
     # a narrow pairwise ring turns stiff without ever building the dense Jacobian
     monkeypatch.setattr(ring, "_unpinned_jacobian", lambda *a: pytest.fail("dense jacobian built"))
     spec, w, theta0 = _attractive_relaxation_case()
     out = integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
     assert (out.method, out.stop_reason) == ("lsoda", "equilibrium") and out.theta[0] == 0.0
-    assert solver[-1].njev > 0
-    assert np.max(np.abs(rhs(out.theta, spec, w))) < 1.01e-10
+    assert out.jacobians > 0 and np.max(np.abs(rhs(out.theta, spec, w))) < 1.01e-10
     # distant couplings (triplet, quadruplet) and a wide band (r = 0.3) take
     # the dense unpinned Jacobian in the same frame: they stop at the
     # equilibrium, bit for bit as the call written out (the quadruplet ring
@@ -812,8 +781,8 @@ def test_integrate_takes_the_band_for_narrow_pairwise_rings_only(monkeypatch):
         assert calls and out.stop_reason == "equilibrium" and out.theta[0] == 0.0
         assert np.max(np.abs(rhs(out.theta, spec, w))) < 1.01e-10
         theta, sol = _dense_lsoda(theta0, spec, w, t_end=1e4)
-        assert sol.njev > 0 and np.array_equal(out.theta, theta)
-        assert out.t_reached == sol.t_events[0][0]
+        assert out.jacobians == sol.njev > 0 and np.array_equal(out.theta, theta)
+        assert out.t_reached == sol.t_events[0][0] and out.steps == len(sol.t) - 1
 
 
 def test_integrate_does_not_leak_lsoda_work_arrays():
@@ -843,15 +812,15 @@ def test_integrate_does_not_leak_lsoda_work_arrays():
 def test_integrate_logs_lsoda_jacobian_storage(caplog):
     spec, w, theta0 = _attractive_relaxation_case()
     wide = SystemSpec(Params(0.3)), build_weights(120, 0.3)
+    # one line per run, written from the result's counts
     with caplog.at_level(logging.DEBUG, logger="twistlab"):
-        integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
-        integrate(perturb(twisted_state(120, 3), 1e-2, seed=1), *wide, t_end=1.0)
-    logged = [r.getMessage() for r in caplog.records if r.name == "twistlab"]
-    assert len(logged) == 2
-    assert re.fullmatch(r"integrate: lsoda, band jacobian, half-bandwidth 26, \d+ steps, "
-                        r"\d+ rhs evaluations, [1-9]\d* jacobians", logged[0]), logged[0]
-    assert re.fullmatch(r"integrate: lsoda, dense jacobian, \d+ steps, \d+ rhs evaluations, "
-                        r"\d+ jacobians", logged[1]), logged[1]
+        runs = [integrate(theta0, spec, w, t_end=1e7, tol=1e-10),
+                integrate(perturb(twisted_state(120, 3), 1e-2, seed=1), *wide, t_end=1.0),
+                _integrate_etdrk4(theta0, spec, w, t_end=5.0)]
+    storage = ("lsoda, band jacobian, half-bandwidth 26, ", "lsoda, dense jacobian, ", "etdrk4, ")
+    assert [r.getMessage() for r in caplog.records if r.name == "twistlab"] == [
+        f"integrate: {s}{o.steps} steps, {o.rhs_evals} rhs evaluations, "
+        f"{o.stop_evals} in the stop, {o.jacobians} jacobians" for s, o in zip(storage, runs)]
 
 
 def test_newton_from_twisted_state_is_immediate():
