@@ -17,9 +17,10 @@ the closed form :func:`_twisted_lattice` at any twisted state (every spec,
 twist count and M), dense eigenvalues of :func:`jacobian` at any other state.
 That Jacobian has one frame, the state's own M x M with row and column 0
 zero, built only up to ``DENSE_CAP``: it is the unpinned Jacobian
-(:func:`_unpinned_jacobian`) pinned in place, and Newton and the dense
-spectrum read its pinned block ``[1:, 1:]``. Ring shifts are
-:func:`symmetry_shift`, which :func:`best_shift_residual` also searches.
+(:func:`_unpinned_jacobian`) pinned in place, and the dense spectrum and
+Newton off the narrow pairwise rings read its pinned block ``[1:, 1:]``.
+Ring shifts are :func:`symmetry_shift`, which :func:`best_shift_residual`
+also searches.
 
 Time integration is adaptive with a terminal stop at the equilibrium
 ``sup |rhs| < EQUILIBRIUM_TOL``; the ring size alone picks the method. It is
@@ -35,19 +36,22 @@ field at the new state, which the next step reuses, controls its steps. Both
 methods call one counted field and one stop test, and the one result
 reports what the run cost.
 Damped Newton refinement of an equilibrium runs at most
-``NEWTON_MAX_ITER`` iterations to the residual ``NEWTON_TOL``, each step on
-the dense Jacobian, and only solves: callers that want the spectrum at the
-solution ask :func:`jacobian_spectrum`. Rows on a bifurcating branch come
-from :func:`follow_branch`, which anchors them at the ring's own threshold
-and continues each from the last.
+``NEWTON_MAX_ITER`` iterations to the residual ``NEWTON_TOL``, up to
+``DENSE_CAP``, and only solves: callers that want the spectrum at the
+solution ask :func:`jacobian_spectrum`. For a pairwise ring of short range
+its pinned Jacobian is ``(I + 1 1^T)`` times LSODA's band with site 0
+dropped, so its steps factor that band (:func:`_pinned_solver`); every other
+spec factors the dense pinned block of :func:`jacobian`. Rows on a
+bifurcating branch come from :func:`follow_branch`, which anchors them at
+the ring's own threshold and continues each from the last.
 
-This is the one module that needs scipy (``solve_ivp`` and the LU routines),
-and it imports it at module level. The package imports this module on first
-use of ``twistlab.ring`` or of a finite-ring name it re-exports, so work on
-the closed forms alone never loads scipy. Loading it also holds the bundled
-OpenBLAS libraries to the package's one-thread pin when scipy was imported
-first (:func:`_pin_openblas_threads`). Finite thresholds are refined by the
-package's own Brent solver, ``kernel._brentq``.
+This is the one module that needs scipy (``solve_ivp`` and the dense and
+band LU routines), and it imports it at module level. The package imports
+this module on first use of ``twistlab.ring`` or of a finite-ring name it
+re-exports, so work on the closed forms alone never loads scipy. Loading it
+also holds the bundled OpenBLAS libraries to the package's one-thread pin
+when scipy was imported first (:func:`_pin_openblas_threads`). Finite
+thresholds are refined by the package's own Brent solver, ``kernel._brentq``.
 """
 
 import ctypes
@@ -63,7 +67,7 @@ import numpy as np
 import scipy
 from scipy.integrate import LSODA, solve_ivp
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg.lapack import dgbtrf as gbtrf, dgbtrs as gbtrs, dgecon as gecon
 
 from . import bifurcation, kernel, spectrum
 from .errors import (
@@ -402,6 +406,12 @@ def _unpinned_jacobian(theta, spec, weights):
     return A
 
 
+def _check_dense_cap(M, what):
+    if M > DENSE_CAP:
+        raise ResourceLimitError(f"{what} needs M <= {DENSE_CAP}; got M={M}",
+                                 M=M, cap=DENSE_CAP)
+
+
 def jacobian(theta, spec, weights):
     """Analytic Jacobian of :func:`rhs` in the state's own M x M frame.
 
@@ -410,9 +420,7 @@ def jacobian(theta, spec, weights):
     :class:`ResourceLimitError` for ``M > DENSE_CAP``.
     """
     theta = _check_state(theta, weights)
-    if weights.M > DENSE_CAP:
-        raise ResourceLimitError(f"dense Jacobian needs M <= {DENSE_CAP}; got M={weights.M}",
-                                 M=weights.M, cap=DENSE_CAP)
+    _check_dense_cap(weights.M, "dense Jacobian")
     A = _unpinned_jacobian(theta, spec, weights)
     A[1:] -= A[0]
     A[0] = A[:, 0] = 0.0
@@ -847,37 +855,131 @@ class EquilibriumResult:
     theta: np.ndarray
     residual_norm: float
     iterations: int
+    halvings: int                         # step halvings over all iterations
+    rcond: Optional[float]                # of the last factored Jacobian; None after 0 iterations
+
+
+def _inverse_norm1(solve, n):
+    """Hager's estimate of ``||P^-1||_1`` from solves with ``P`` and ``P^T``.
+
+    LAPACK's ``dlacn2``, which ``gecon`` runs (Higham, *ACM TOMS* 14, 1988):
+    ``solve(b, transpose)`` returns ``P^-1 b`` or ``P^-T b``. At most five
+    solves with each, and one more with an alternating vector that guards
+    against a poor first estimate.
+    """
+    x = solve(np.full(n, 1.0 / n), False)
+    est = float(np.sum(np.abs(x)))
+    signs = np.where(x >= 0.0, 1.0, -1.0)
+    j = int(np.argmax(np.abs(solve(signs, True))))
+    for _ in range(4):
+        e = np.zeros(n)
+        e[j] = 1.0
+        x = solve(e, False)
+        est_old, est = est, float(np.sum(np.abs(x)))
+        new = np.where(x >= 0.0, 1.0, -1.0)
+        if np.array_equal(new, signs) or est <= est_old:
+            break
+        signs = new
+        z = solve(signs, True)
+        j_last, j = j, int(np.argmax(np.abs(z)))
+        if z[j_last] == abs(z[j]):
+            break
+    alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return max(est, 2.0 * float(np.sum(np.abs(solve(alt, False)))) / (3 * n))
+
+
+def _pinned_solver(theta, spec, weights, band):
+    """The pinned Newton system at ``theta``: ``(solve, rcond)``.
+
+    ``solve(b)`` is ``J^-1 b`` for the pinned Jacobian ``J``, the block
+    ``[1:, 1:]`` of :func:`jacobian`, and ``rcond`` its 1-norm reciprocal
+    condition. ``band`` is :func:`_band_jacobian`'s value for the spec. With
+    None, ``J`` is built dense, LU-factored, and ``gecon`` estimates its
+    condition. Otherwise the unpinned Jacobian ``A`` is symmetric with zero
+    row sums, so ``J = A[1:, 1:] - 1 A[0, 1:] = (I + 1 1^T) A11`` with
+    ``A11 = A[1:, 1:]``, which in the fold order is a band of half-width
+    ``bw``: ``J^-1 b = A11^-1 (b - (sum b / M) 1)`` and
+    ``J^-T b = (I - 1 1^T / M) A11^-1 b``. One banded LU (``gbtrf``) in
+    O(bw^2 M) then serves every solve; ``||J||_1`` is summed exactly from
+    the band and ``A[0, 1:]``, and ``||J^-1||_1`` is :func:`_inverse_norm1`,
+    the estimate ``gecon`` makes. Both paths raise
+    :class:`ResourceLimitError` past ``DENSE_CAP``.
+    """
+    if band is None:
+        J = jacobian(theta, spec, weights)[1:, 1:]
+        lu, piv = lu_factor(J)
+        rcond = gecon(lu, np.linalg.norm(J, 1), norm="1")[0]
+        return (lambda b: lu_solve((lu, piv), b)), float(rcond)
+    M = weights.M
+    _check_dense_cap(M, "Newton step")
+    order, _, bw, fill = band
+    packed = fill(theta[order])[:, 1:]            # A without fold position 0, site 0
+    cols = np.arange(bw)
+    a0 = np.zeros(M - 1)                          # A[0, 1:] in the fold order
+    a0[:bw] = packed[bw - 1 - cols, cols]
+    packed[bw - 1 - cols, cols] = 0.0
+    rows = np.arange(M - 1) + np.arange(-bw, bw + 1)[:, None]
+    inside = (rows >= 0) & (rows < M - 1)
+    norm = np.max(np.sum(np.abs(packed - a0), axis=0, where=inside)
+                  + (M - 1 - np.sum(inside, axis=0)) * np.abs(a0))
+    ab = np.zeros((3 * bw + 1, M - 1))            # gbtrf's room for fill-in above the band
+    ab[bw:] = packed
+    lu, piv, info = gbtrf(ab, bw, bw, overwrite_ab=True)
+    fold = order[1:] - 1                          # pinned index at each fold position
+
+    def solve(b, transpose=False):
+        if not transpose:
+            b = b - np.sum(b) / M
+        x = np.empty(M - 1)
+        x[fold] = gbtrs(lu, bw, bw, b[fold], piv)[0]
+        if transpose:
+            x -= np.sum(x) / M
+        return x
+
+    rcond = 0.0 if info > 0 else 1.0 / (_inverse_norm1(solve, M - 1) * float(norm))
+    return solve, rcond
 
 
 def newton_equilibrium(theta_init, spec, weights):
     """Damped Newton iteration for an equilibrium of the pinned system.
 
-    Steps solve with the pinned block of :func:`jacobian` (``M <= DENSE_CAP``)
-    and are halved (at most 30 times) until the residual decreases. Success
-    means ``sup |rhs| < NEWTON_TOL`` within ``NEWTON_MAX_ITER`` iterations; a
-    start that meets it returns after 0, at any M, pinned exactly. The
-    stability of the result is :func:`jacobian_spectrum` at ``result.theta``.
+    Each step solves with the pinned Jacobian (:func:`_pinned_solver`): a
+    banded LU in the fold order for a pairwise ring of short range (the
+    rings whose LSODA Jacobian is :func:`_band_jacobian`'s band), a dense LU
+    of the pinned block of :func:`jacobian` for every other spec; both need
+    ``M <= DENSE_CAP``. A Jacobian whose 1-norm reciprocal condition is
+    below ``_RCOND_LIMIT`` raises :class:`NearSymmetryDegenerateError`.
+    Steps are halved (at most 30 times) until the residual decreases.
+    Success means ``sup |rhs| < NEWTON_TOL`` within ``NEWTON_MAX_ITER``
+    iterations; a start that meets it returns after 0, at any M, pinned
+    exactly. The result reports the iterations, the step halvings and the
+    last Jacobian's ``rcond``, and logs them at DEBUG level on the
+    ``twistlab`` logger with the path taken. The stability of the result is
+    :func:`jacobian_spectrum` at ``result.theta``.
     """
     theta = _check_state(theta_init, weights).copy()
-    gecon = get_lapack_funcs("gecon", (np.empty((2, 2)),))
+    band = _band_jacobian(spec, weights)
+    path = "dense" if band is None else f"band, half-bandwidth {band[2]}"
     F = rhs(theta, spec, weights)
     res = np.max(np.abs(F))
+    halvings, rcond = 0, None
     for iteration in range(NEWTON_MAX_ITER + 1):
         if res < NEWTON_TOL:
-            return EquilibriumResult(theta=theta, residual_norm=float(res), iterations=iteration)
+            _log.debug("newton_equilibrium: %s, %d iterations, %d halvings, rcond %s", path,
+                       iteration, halvings, "none" if rcond is None else f"{rcond:.3e}")
+            return EquilibriumResult(theta=theta, residual_norm=float(res), iterations=iteration,
+                                     halvings=halvings, rcond=rcond)
         if iteration == NEWTON_MAX_ITER:
             break
-        J = jacobian(theta, spec, weights)[1:, 1:]
-        lu, piv = lu_factor(J)
-        rcond = gecon(lu, np.linalg.norm(J, 1), norm="1")[0]
+        solve, rcond = _pinned_solver(theta, spec, weights, band)
         if rcond < _RCOND_LIMIT:
             raise NearSymmetryDegenerateError(
                 f"Jacobian reciprocal condition {rcond:.2e} at residual {res:.2e}: "
                 "iteration sits on the ring-shift family; restart from a different "
                 "pattern phase",
-                rcond=float(rcond), residual=float(res),
+                rcond=rcond, residual=float(res),
             )
-        delta = lu_solve((lu, piv), -F[1:])
+        delta = solve(-F[1:])
         step = 1.0
         for _ in range(30):
             trial = theta.copy()
@@ -888,6 +990,7 @@ def newton_equilibrium(theta_init, spec, weights):
                 theta, res, F = trial, new_res, F_new
                 break
             step *= 0.5
+            halvings += 1
         else:
             raise ConvergenceError(
                 f"Newton stalled after {iteration} iterations at residual {res:.3e}",
@@ -916,13 +1019,14 @@ def follow_branch(curve, M, s_values):
     crossing of the attractive ring. Its rows are anchored at the ring's own
     threshold ``r_M = finite_threshold(curve.q, M)``, not at the continuum
     base: row ``s`` is the :func:`newton_equilibrium` at ``r_M + s``. They are
-    solved in the order given, by natural continuation. The first row starts
-    from the order-1 branch profile; each later one from the previous
-    equilibrium's deviation from the twisted state, rescaled by the ratio of
-    branch amplitudes, which keeps Newton on the branch instead of falling
-    back onto the twisted state. Returns ``(r_M, rows)``, one
-    :class:`BranchRow` per ``s``. Any other curve is a ``ValueError``, and an
-    ``s`` on the side without a branch a ``BranchAbsentError``, before any solve.
+    solved in the order given, by natural continuation. The first row, and
+    any row after one of amplitude 0 (``s = 0``), starts from the order-1
+    branch profile; every other one from the previous equilibrium's deviation
+    from the twisted state, rescaled by the ratio of branch amplitudes, which
+    keeps Newton on the branch instead of falling back onto the twisted state.
+    Returns ``(r_M, rows)``, one :class:`BranchRow` per ``s``. Any other curve
+    is a ``ValueError``, and an ``s`` on the side without a branch a
+    ``BranchAbsentError``, before any solve.
     """
     if tuple(curve.direction) != (1.0, 0.0, 0.0) or curve.base.lam != 0.0 or curve.base.mu != 0.0:
         raise ValueError("follow_branch needs an r-linear curve, direction (1, 0, 0), "
@@ -934,7 +1038,7 @@ def follow_branch(curve, M, s_values):
     twisted = twisted_state(M, curve.q)
     rows = []
     for s, amp in zip(s_values, amps):
-        if rows:
+        if rows and rows[-1].a_app != 0.0:
             prev = rows[-1]
             start = twisted + (prev.equilibrium.theta - twisted) * (amp / prev.a_app)
         else:

@@ -927,6 +927,79 @@ def test_newton_convergence_error_carries_iterations_and_residual(monkeypatch):
     assert ring.NEWTON_TOL < info.value.residual < np.max(np.abs(rhs(theta0, spec, w)))
 
 
+def test_pinned_band_solve_and_rcond_match_the_dense_jacobian():
+    from scipy.linalg import lu_factor
+    from scipy.linalg.lapack import dgecon
+
+    for M in (120, 401):
+        r = 0.1234                                # r M = 14.808 and 49.48: a fractional edge
+        branch, _, _ = _branch_start(5, M, -1e-4, 1)
+        for sign in ("attractive", "repulsive"):
+            spec, w = SystemSpec(Params(r), sign=sign), build_weights(M, r)
+            band = ring._band_jacobian(spec, w)
+            assert band is not None and w.b[w.b != 0.0].min() < 1.0
+            for theta in (perturb(twisted_state(M, 3), 0.3, seed=M), branch):
+                J = jacobian(theta, spec, w)[1:, 1:]
+                b = np.random.default_rng(M).standard_normal(M - 1)
+                solve, rcond = ring._pinned_solver(theta, spec, w, band)
+                x = np.linalg.solve(J, b)
+                assert np.max(np.abs(solve(b) - x)) <= 1e-9 * np.max(np.abs(x)), (M, sign)
+                expected = dgecon(lu_factor(J)[0], np.linalg.norm(J, 1), norm="1")[0]
+                assert rcond == pytest.approx(expected, rel=1e-2), (M, sign)
+
+
+def test_newton_takes_the_band_exactly_for_narrow_pairwise_rings(monkeypatch, caplog):
+    M, q = 60, 2
+    dense = []
+    build = ring.jacobian
+    monkeypatch.setattr(ring, "jacobian", lambda *a: dense.append(a) or build(*a))
+    cases = [(Params(0.1), "band, half-bandwidth 12"),
+             (Params(0.45), "dense"),                         # a wide pairwise ring
+             (Params(0.1, 0.3, 0.0), "dense"),
+             (Params(0.1, 0.0, 0.2), "dense")]
+    for p, path in cases:
+        dense.clear()
+        w = build_weights(M, p.r)
+        with caplog.at_level(logging.DEBUG, logger="twistlab"):
+            caplog.clear()
+            eq = newton_equilibrium(perturb(twisted_state(M, q), 1e-3, seed=1), SystemSpec(p), w)
+        assert eq.residual_norm < ring.NEWTON_TOL and eq.iterations > 0
+        assert len(dense) == (0 if path.startswith("band") else eq.iterations), p
+        assert 0.0 < eq.rcond <= 1.0 and eq.halvings >= 0
+        assert [r.getMessage() for r in caplog.records if r.name == "twistlab"] == [
+            f"newton_equilibrium: {path}, {eq.iterations} iterations, {eq.halvings} halvings, "
+            f"rcond {eq.rcond:.3e}"]
+    eq = newton_equilibrium(twisted_state(M, q), SystemSpec(Params(0.1)), build_weights(M, 0.1))
+    assert (eq.iterations, eq.halvings, eq.rcond) == (0, 0, None)
+
+
+def test_newton_counts_step_halvings():
+    # far from the twisted state the full step overshoots at first
+    M, p = 60, Params(0.1)
+    eq = newton_equilibrium(perturb(twisted_state(M, 2), 1.0, seed=2), SystemSpec(p),
+                            build_weights(M, p.r))
+    assert eq.residual_norm < ring.NEWTON_TOL and eq.halvings > 0
+
+
+def test_band_newton_keeps_the_dense_cap():
+    M, p = DENSE_CAP + 1, Params(0.1)
+    w = build_weights(M, p.r)
+    assert ring._band_jacobian(SystemSpec(p), w) is not None
+    with pytest.raises(ResourceLimitError) as info:
+        newton_equilibrium(perturb(twisted_state(M, 2), 1e-3, seed=1), SystemSpec(p), w)
+    assert (info.value.M, info.value.cap) == (M, DENSE_CAP)
+
+
+def test_follow_branch_restarts_after_a_zero_amplitude_row():
+    # the s = 0 row has amplitude 0, so the next row cannot rescale it
+    curve = _attractive_curve(5)
+    _, (zero, row) = ring.follow_branch(curve, 200, [0.0, -1e-4])
+    _, (alone,) = ring.follow_branch(curve, 200, [-1e-4])
+    assert zero.a_app == 0.0 and zero.equilibrium.iterations == 0
+    assert np.array_equal(row.equilibrium.theta, alone.equilibrium.theta)
+    assert (row.a_app, row.equilibrium.iterations) == (alone.a_app, alone.equilibrium.iterations)
+
+
 def test_finite_threshold_values_and_errors(monkeypatch):
     def no_dense(*args, **kwargs):
         raise AssertionError("finite_threshold made a dense eigensolve")
