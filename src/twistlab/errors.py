@@ -62,7 +62,7 @@ class ConvergenceError(DomainError):
 
 
 class StiffnessError(DomainError):
-    """Time integration step size underflowed."""
+    """Time integration failed: a step failed or fell below roundoff, or the field turned NaN."""
 
     def __init__(self, message, t_reached=None):
         super().__init__(message)

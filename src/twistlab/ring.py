@@ -23,7 +23,7 @@ Ring shifts are :func:`symmetry_shift`, which :func:`best_shift_residual`
 also searches.
 
 Time integration is adaptive with a terminal stop at the equilibrium
-``sup |rhs| < EQUILIBRIUM_TOL``; the ring size alone picks the method. It is
+``sup |rhs| <= EQUILIBRIUM_TOL``; the ring size alone picks the method. It is
 LSODA for ``M <= DENSE_CAP``: explicit Adams steps while the ring is
 non-stiff, implicit BDF fed an analytic Jacobian once it turns stiff (near a
 weakly unstable twisted state). It integrates the unpinned field and
@@ -33,8 +33,8 @@ the dense :func:`_unpinned_jacobian` for every other spec. Above the cap it
 is ETDRK4, an exponential integrator that takes that closed form, diagonal
 in Fourier space, exactly and needs no matrix; an embedded estimate from the
 field at the new state, which the next step reuses, controls its steps. Both
-methods call one counted field and one stop test, and the one result
-reports what the run cost.
+methods call one counted field and feed one loop over their accepted steps,
+which holds the one stop, and the one result reports what the run cost.
 Damped Newton refinement of an equilibrium runs at most
 ``NEWTON_MAX_ITER`` iterations to the residual ``NEWTON_TOL``, up to
 ``DENSE_CAP``, and only solves: callers that want the spectrum at the
@@ -45,8 +45,8 @@ spec factors the dense pinned block of :func:`jacobian`. Rows on a
 bifurcating branch come from :func:`follow_branch`, which anchors them at
 the ring's own threshold and continues each from the last.
 
-This is the one module that needs scipy (``solve_ivp`` and the dense and
-band LU routines), and it imports it at module level. The package imports
+This is the one module that needs scipy (LSODA and the dense and band LU
+routines), and it imports it at module level. The package imports
 this module on first use of ``twistlab.ring`` or of a finite-ring name it
 re-exports, so work on the closed forms alone never loads scipy. Loading it
 also holds the bundled OpenBLAS libraries to the package's one-thread pin
@@ -65,7 +65,7 @@ from typing import Optional
 
 import numpy as np
 import scipy
-from scipy.integrate import LSODA, solve_ivp
+from scipy.integrate import LSODA, solve_ivp   # solve_ivp: not called; the bench tracer patches it
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgbtrf as gbtrf, dgbtrs as gbtrs, dgecon as gecon
 
@@ -97,7 +97,7 @@ DENSE_CAP = 2000
 _BLOCK_ELEMS = 1 << 18   # entries per row block of the Jacobian fill (2 MiB of float64)
 _RCOND_LIMIT = 1e-12     # Newton Jacobian reciprocal-condition floor
 
-#: Integration stops once ``sup |rhs|`` falls below this.
+#: Integration stops once ``sup |rhs|`` is at most this.
 EQUILIBRIUM_TOL = 1e-10
 
 #: Radius resolution of :func:`finite_threshold`.
@@ -575,7 +575,7 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
     """Integrate the ring until ``t_end > 0`` (may be ``inf``) or an equilibrium.
 
     The integrator is adaptive, with absolute and relative tolerance ``tol``
-    and a terminal equilibrium stop at ``sup |rhs| < EQUILIBRIUM_TOL``; the
+    and a terminal equilibrium stop at ``sup |rhs| <= EQUILIBRIUM_TOL``; the
     default ``tol`` sits an order below the stop, so the integrator's error
     on the field does not keep it from firing. The ring size picks the
     method, and the result names it:
@@ -595,24 +595,29 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
     - larger rings: ETDRK4, ``"etdrk4"``, which integrates the closed-form
       linearization at the twisted state of ``theta0``'s winding number
       exactly and only the remainder by Runge-Kutta stages
-      (:func:`_integrate_etdrk4`). Each attempted step costs 4 field
+      (:func:`_etdrk4_steps`). Each attempted step costs 4 field
       evaluations: three stages and the new state, which gives the error
       estimate and is the next step's first stage.
 
+    Both methods feed one loop over their accepted steps, which holds the
+    one stop: ``sup |f| - EQUILIBRIUM_TOL <= 0`` on the pinned field ``f``,
+    tested at t = 0 on the field evaluated first and at each step (ETDRK4
+    has ``f`` there, LSODA pays one evaluation). Once it holds, the stop is
+    a root on the step's continuous extension, found by
+    :func:`kernel._brentq` to ``tol / EQUILIBRIUM_TOL`` in time (the state
+    moves at about ``EQUILIBRIUM_TOL``, so by about ``tol``): the earliest
+    time Brent evaluated at which the test holds, so the state meets it.
+
     The state returned is pinned: its entry 0 is exactly 0, also with no
-    step taken. A non-finite
-    ``theta0`` or a ``tol`` below scipy's LSODA floor ``100 eps`` raises
-    ``ValueError``; a step that fails (LSODA) or whose error estimate is NaN
-    or whose size falls below roundoff (ETDRK4) raises
-    :class:`StiffnessError` with the time reached. Both methods share one
-    stop test, ``sup |f| - EQUILIBRIUM_TOL`` on the pinned field ``f``: at
-    t = 0, at each accepted step, and in the root finding that locates the
-    stop inside the step. The result reports what the run cost: its
-    accepted ``steps``, ``rhs_evals`` (every field evaluation of the call),
-    ``stop_evals`` (those made only for the stop: LSODA's event calls,
-    ETDRK4's root finding) and LSODA's ``jacobians``. The same counts, with
-    LSODA's Jacobian storage and half-bandwidth, are logged at DEBUG level
-    on the ``twistlab`` logger.
+    step taken. A non-finite ``theta0`` or a ``tol`` below scipy's LSODA
+    floor ``100 eps`` raises ``ValueError``; a failed LSODA step, a NaN
+    ETDRK4 error estimate or step size below roundoff, and a NaN field in
+    the stop test raise :class:`StiffnessError` with the time reached. The
+    result reports the accepted ``steps``, ``rhs_evals`` (every field
+    evaluation of the call), ``stop_evals`` (those only for the stop:
+    LSODA's per-step tests and the root points) and LSODA's ``jacobians``,
+    which a DEBUG line on the ``twistlab`` logger repeats with LSODA's
+    Jacobian storage and half-bandwidth.
     """
     theta0 = _check_state(theta0, weights)
     if not np.all(np.isfinite(theta0)):
@@ -629,42 +634,59 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
         evals[1] += stop
         return _rhs_fft(theta, spec, weights, pinned)
 
-    excess = lambda f: float(np.max(np.abs(f))) - EQUILIBRIUM_TOL   # the stop test
+    def excess(f, t_ok):                          # the stop test; t_ok: its last finite time
+        g = float(np.max(np.abs(f))) - EQUILIBRIUM_TOL
+        if math.isnan(g):
+            raise StiffnessError(f"the field turned NaN after t={t_ok:.6g}", t_reached=t_ok)
+        return g
 
     f0 = field(theta0)
-    storage, jacobians = "", 0
-    if excess(f0) < 0.0:
-        theta, t_reached, reason, steps = theta0, 0.0, "equilibrium", 0
-    elif method == "etdrk4":
-        theta, t_reached, reason, steps = _integrate_etdrk4(theta0, f0, field, excess, spec,
-                                                            weights, t_end, tol)
-    else:
-        band = _band_jacobian(spec, weights)
-        if band is None:
-            order = pos = slice(None)
-            options = {"jac": lambda t, y: _unpinned_jacobian(y, spec, weights)}
-            storage = "dense jacobian, "
-        else:
-            order, pos, bw, fill = band
-            options = {"jac": lambda t, y: fill(y), "lband": bw, "uband": bw}
-            storage = f"band jacobian, half-bandwidth {bw}, "
-        event = lambda t, y: excess(field(y[pos], stop=True))
-        event.terminal, event.direction = True, -1
-        sol = solve_ivp(lambda t, y: field(y[pos], pinned=False)[order], (0.0, t_end),
-                        theta0[order], method=_LSODA, rtol=tol, atol=tol, events=event, **options)
-        if sol.status == -1:
-            raise StiffnessError(f"integration step failed: {sol.message}",
-                                 t_reached=float(sol.t[-1]))
-        if sol.status == 1:
-            y, t_reached, reason = sol.y_events[0][0], float(sol.t_events[0][0]), "equilibrium"
-        else:
-            y, t_reached, reason = sol.y[:, -1], float(sol.t[-1]), "t_end"
-        theta, steps, jacobians = y[pos], len(sol.t) - 1, int(sol.njev)
+    t, theta, g = 0.0, theta0, excess(f0, 0.0)
+    storage, solver, steps, accepted = "", None, (), 0
+    if g > 0.0 and method == "etdrk4":
+        steps = _etdrk4_steps(theta0, f0, field, spec, weights, t_end, tol)
+    elif g > 0.0:
+        # no band: the dense Jacobian in site order, and LSODA's default storage
+        order, pos, bw, fill = _band_jacobian(spec, weights) or (
+            slice(None), slice(None), None, lambda y: _unpinned_jacobian(y, spec, weights))
+        storage = "dense jacobian, " if bw is None else f"band jacobian, half-bandwidth {bw}, "
+        solver = _LSODA(lambda t, y: field(y[pos], pinned=False)[order], 0.0, theta0[order],
+                        t_end, rtol=tol, atol=tol, jac=lambda t, y: fill(y), lband=bw, uband=bw)
+        repin = lambda y: y[pos] - y[0]           # site 0 is fold position 0
+
+        def lsoda_steps():                        # re-pinned, the stop tests the states returned
+            while solver.status == "running":
+                message = solver.step()
+                if solver.status == "failed":
+                    raise StiffnessError(f"integration step failed: {message}", t_reached=solver.t)
+                yield solver.t, repin(solver.y), None, lambda s: repin(solver.dense_output()(s))
+
+        steps = lsoda_steps()
+    for accepted, (t_new, theta_new, f, at) in enumerate(steps, 1):
+        g_new = excess(field(theta_new, stop=True) if f is None else f, t)
+        if g_new <= 0.0:
+            below = []                            # times seen where the stop holds
+
+            def stop(s):
+                g_s = g if s == t else g_new if s == t_new else excess(field(at(s), stop=True), t)
+                if g_s <= 0.0:
+                    below.append(s)
+                return g_s
+
+            kernel._brentq(stop, t, t_new, xtol=tol / EQUILIBRIUM_TOL)
+            # brentq may end on either side of the root; the earliest time seen
+            # below it lies within xtol of the root and meets the stop
+            t_stop = min(below)
+            theta_new, t_new = theta_new if t_stop == t_new else at(t_stop), t_stop
+        t, theta, g = t_new, theta_new, g_new
+        if g <= 0.0:
+            break
+    jacobians = 0 if solver is None else int(solver.njev)
     _log.debug("integrate: %s, %s%d steps, %d rhs evaluations, %d in the stop, %d jacobians",
-               method, storage, steps, evals[0], evals[1], jacobians)
-    return IntegrationResult(theta=theta - theta[0], t_reached=t_reached, stop_reason=reason,
-                             method=method, steps=steps, rhs_evals=evals[0],
-                             stop_evals=evals[1], jacobians=jacobians)
+               method, storage, accepted, evals[0], evals[1], jacobians)
+    return IntegrationResult(theta=theta - theta[0], t_reached=float(t), method=method,
+                             stop_reason="equilibrium" if g <= 0.0 else "t_end", steps=accepted,
+                             rhs_evals=evals[0], stop_evals=evals[1], jacobians=jacobians)
 
 
 # the 17 Taylor coefficients of phi_3 used below |z| = 1; the first one dropped is under 1e-18
@@ -746,8 +768,8 @@ def _etdrk4_error(stages, n_new, h, phi):
     return h * (phi[1] - 4.0 * phi[2]) * (n_new - stages[3])
 
 
-def _integrate_etdrk4(theta0, f0, field, excess, spec, weights, t_end, tol):
-    """:func:`integrate` above ``DENSE_CAP``: adaptive ETDRK4 on the twisted-state diagonal.
+def _etdrk4_steps(theta0, f0, field, spec, weights, t_end, tol):
+    """The accepted steps of adaptive ETDRK4 on the twisted-state diagonal, for :func:`integrate`.
 
     The state follows the mean-free field ``f - mean(f)`` of ``f = _rhs_fft``;
     every order is invariant under a global phase shift, so re-pinning gives
@@ -767,17 +789,12 @@ def _integrate_etdrk4(theta0, f0, field, excess, spec, weights, t_end, tol):
     norm weighted by ``tol (1 + max(|theta|, |theta_new|))``, as scipy weighs
     ``rtol = atol = tol``, and the step size is scaled by
     ``0.9 err^(-1/4)`` within [0.2, 10]. An attempt costs 4 field
-    evaluations, accepted or not. The equilibrium stop is a root of
-    ``sup |f| - EQUILIBRIUM_TOL`` on the continuous extension of the step
-    where it changes sign, found by :func:`kernel._brentq` to
-    ``tol / EQUILIBRIUM_TOL`` in time: the state moves at about
-    ``EQUILIBRIUM_TOL`` there, so by about ``tol`` within that. The stop
-    returned is the earliest time Brent evaluated at which the stop holds,
-    so the state meets it.
+    evaluations, accepted or not.
 
-    ``field`` is :func:`integrate`'s counted pinned field, ``f0`` its value
-    at ``theta0`` and ``excess`` its stop test. Returns the unpinned final
-    state, the time reached, the stop reason and the accepted steps.
+    ``field`` is :func:`integrate`'s counted pinned field and ``f0`` its
+    value at ``theta0``. Yields ``(t, theta, f, at)`` per accepted step: the
+    unpinned state, its field and the step's continuous extension until the
+    next step.
     """
     M = weights.M
     winding = float(np.sum(wrap_to_pi(np.diff(theta0, append=theta0[0]))))
@@ -794,13 +811,13 @@ def _integrate_etdrk4(theta0, f0, field, excess, spec, weights, t_end, tol):
     nonlinear = lambda v: split(field(state(v)), v)
 
     t, theta, v = 0.0, theta0, np.fft.rfft(theta0 - base)
-    n1, g = split(f0, v), excess(f0)
+    n1 = split(f0, v)
     rms = lambda x: math.sqrt(float(np.mean(np.square(x))))
     scale = tol + tol * np.abs(theta0)
     d0, d1 = rms((theta0 - base) / scale), rms((f0 - np.mean(f0)) / scale)
     h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1   # scipy's first guess, on delta
-    accepted, shrunk = 0, False
-    while True:
+    shrunk = False
+    while t < t_end:                              # the last step ends at t_end exactly
         if h < 10.0 * (np.nextafter(t, np.inf) - t):
             raise StiffnessError(f"ETDRK4 step size {h:.3e} fell below roundoff at t={t:.6g}",
                                  t_reached=t)
@@ -823,31 +840,11 @@ def _integrate_etdrk4(theta0, f0, field, excess, spec, weights, t_end, tol):
         if shrunk:
             factor = min(1.0, factor)
         t_old, t = t, (t_end if last else t + h)
-        accepted += 1
-        g_new = excess(f_new)
-        if g_new <= 0.0 or last:
-            break
-        theta, v, n1, g = theta_new, v_new, n_new, g_new
+        yield t, theta_new, f_new, lambda s: state(
+            _etdrk4_state(v, stages, h, s - t_old, nu, _phi((s - t_old) * nu)))
+        theta, v, n1 = theta_new, v_new, n_new
         h *= factor
         shrunk = False
-    if g_new <= 0.0:
-        a, b = t_old, t
-        at = lambda tt: state(_etdrk4_state(v, stages, h, tt - a, nu, _phi((tt - a) * nu)))
-        below = []                                # times seen where the stop holds
-
-        def stop(tt):
-            g_tt = g if tt == a else g_new if tt == b else excess(field(at(tt), stop=True))
-            if g_tt <= 0.0:
-                below.append(tt)
-            return g_tt
-
-        kernel._brentq(stop, a, b, xtol=tol / EQUILIBRIUM_TOL)
-        # brentq may end on either side of the root; the earliest time seen
-        # below it lies within xtol of the root and meets the stop
-        t = min(below)
-        if t < b:
-            theta_new = at(t)
-    return theta_new, float(t), "equilibrium" if g_new <= 0.0 else "t_end", accepted
 
 
 @dataclass(frozen=True)

@@ -518,22 +518,23 @@ def test_integrate_etdrk4_counts_every_field_evaluation(monkeypatch):
         assert out.stop_reason == reason and out.steps > 0 and out.jacobians == 0
         assert counts["all"] == out.rhs_evals == 1 + 4 * len(step_calls) + out.stop_evals
         assert (out.stop_evals > 0) == (reason == "equilibrium")
-        assert reason == "t_end" or np.max(np.abs(rhs(out.theta, sp, wt))) < 1.01e-10
+        assert reason == "t_end" or np.max(np.abs(rhs(out.theta, sp, wt))) <= ring.EQUILIBRIUM_TOL
         rejected.append(len(step_calls) - out.steps)
     assert rejected[0] == rejected[1] == 0 < rejected[2]
 
 
 def test_integrate_lsoda_stop_costs_one_field_per_accepted_step(monkeypatch):
     # lsoda does not end a step with a field evaluation at the state it
-    # accepts, so the stop pays one at t = 0 (again), one per accepted step
-    # and one per root point; the rest is lsoda's unpinned field
+    # accepts, so the stop pays one per accepted step and one per root
+    # point; the test at t = 0 reuses the field integrate evaluates first,
+    # and the rest is lsoda's unpinned field
     counts = _count_rhs_calls(monkeypatch)
     spec, w, theta0 = _attractive_relaxation_case()
     out = integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
     assert out.method == "lsoda" and out.stop_reason == "equilibrium"
     assert counts["all"] == out.rhs_evals
     assert counts["unpinned"] == out.rhs_evals - out.stop_evals - 1
-    assert 0 < out.stop_evals - 1 - out.steps < out.steps
+    assert 0 < out.stop_evals - out.steps < out.steps
     # the slow relaxation turns stiff, and the analytic band Jacobian takes over
     assert out.jacobians > 0
 
@@ -607,7 +608,7 @@ def test_integrate_etdrk4_runs_to_the_stop_without_t_end():
     out = integrate(theta0, spec, w, t_end=float("inf"))
     assert (out.method, out.stop_reason) == ("etdrk4", "equilibrium")
     assert 10.0 < out.t_reached < 1e3 and out.theta[0] == 0.0
-    assert np.max(np.abs(rhs(out.theta, spec, w))) < 1.01e-10
+    assert np.max(np.abs(rhs(out.theta, spec, w))) <= ring.EQUILIBRIUM_TOL
     assert np.max(np.abs(wrap_to_pi(out.theta - twisted_state(M, q)))) < 1e-7
 
 
@@ -679,16 +680,49 @@ def test_integrate_etdrk4_failures_are_typed(monkeypatch):
     assert 0.0 < info.value.t_reached < 1e7
 
 
+def test_integrate_nan_field_is_typed(monkeypatch):
+    # lsoda steps on through NaN states, to t_end if nothing stops it; the
+    # stop test on the first of them raises, reaching the last time whose
+    # test was finite
+    M, q, r = 120, 3, 0.2
+    spec, w = SystemSpec(Params(r)), build_weights(M, r)
+    theta0 = perturb(twisted_state(M, q), 1e-2, seed=1)
+    assert integrate(theta0, spec, w, t_end=1e4).rhs_evals > 500
+    rhs_fft = ring._rhs_fft
+    calls = [0]
+
+    def nan_from(n):
+        def field(theta, *args):
+            calls[0] += 1
+            f = rhs_fft(theta, *args)
+            return f * np.nan if calls[0] >= n else f
+        return field
+
+    for n in (5, 50, 500):
+        calls[0] = 0
+        monkeypatch.setattr(ring, "_rhs_fft", nan_from(n))
+        with pytest.raises(StiffnessError, match="NaN") as info:
+            integrate(theta0, spec, w, t_end=1e4)
+        assert 0.0 <= info.value.t_reached < 1e4
+    # a NaN field at the start stops both methods at t = 0
+    for run in (integrate, _integrate_etdrk4):
+        calls[0] = 0
+        monkeypatch.setattr(ring, "_rhs_fft", nan_from(1))
+        with pytest.raises(StiffnessError, match="NaN") as info:
+            run(theta0, spec, w, t_end=1e4)
+        assert info.value.t_reached == 0.0
+
+
 def test_integrate_method_follows_dense_cap(monkeypatch):
     # lsoda gets the analytic Jacobian up to the cap; etdrk4 takes larger rings
     calls = []
-    solve_ivp = ring.solve_ivp
 
-    def recorded_solve(fun, t_span, y0, method, **kwargs):
-        calls.append((method, "jac" in kwargs))
-        return solve_ivp(fun, t_span, y0, method=method, **kwargs)
+    class Recorded(ring._LSODA):
+        def __init__(self, *args, **kwargs):
+            calls.append("jac" in kwargs)
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(ring, "solve_ivp", recorded_solve)
+    monkeypatch.setattr(ring, "_LSODA", Recorded)
     p = Params(0.2)
     theta = perturb(twisted_state(DENSE_CAP + 1, 2), 1e-3, seed=1)
     out = integrate(theta, SystemSpec(p), build_weights(DENSE_CAP + 1, p.r), t_end=1e-3)
@@ -697,7 +731,7 @@ def test_integrate_method_follows_dense_cap(monkeypatch):
     monkeypatch.setattr(ring, "DENSE_CAP", 60)
     out = integrate(perturb(twisted_state(60, 2), 1e-3, seed=1), SystemSpec(p),
                     build_weights(60, p.r), t_end=1e-3)
-    assert out.method == "lsoda" and calls[-1] == (ring._LSODA, True)
+    assert out.method == "lsoda" and calls == [True]
 
 
 def _unfold_band(band, theta):
@@ -739,50 +773,108 @@ def test_band_jacobian_only_for_narrow_pairwise_rings():
     assert ring._band_jacobian(SystemSpec(Params(0.5)), build_weights(64, 0.5)) is None
 
 
-def _dense_lsoda(theta0, spec, weights, t_end, tol=1e-11):
-    """The dense LSODA call of :func:`integrate`, written out: the unpinned
-    field with its unpinned Jacobian, re-pinned at the end. The oracle of its bits."""
+def _lsoda_oracle(theta0, spec, weights, t_end, tol):
+    """The LSODA run of :func:`integrate` under scipy's ``solve_ivp``, with the
+    stop as a terminal event that it resolves to 4 eps: the unpinned field with
+    its unpinned Jacobian, in the fold order with its band for a narrow pairwise
+    ring, re-pinned at the end. The oracle of its steps and bits."""
     from scipy.integrate import solve_ivp
 
+    band = ring._band_jacobian(spec, weights)
+    if band is None:
+        order = pos = slice(None)
+        options = {"jac": lambda t, y: ring._unpinned_jacobian(y, spec, weights)}
+    else:
+        order, pos, bw, fill = band
+        options = {"jac": lambda t, y: fill(y), "lband": bw, "uband": bw}
+
     def event(t, y):
-        return float(np.max(np.abs(ring._rhs_fft(y, spec, weights))) - ring.EQUILIBRIUM_TOL)
+        return float(np.max(np.abs(ring._rhs_fft(y[pos], spec, weights))) - ring.EQUILIBRIUM_TOL)
 
     event.terminal = True
     event.direction = -1
-    sol = solve_ivp(lambda t, y: ring._rhs_fft(y, spec, weights, pinned=False), (0.0, t_end),
-                    theta0, method="LSODA", rtol=tol, atol=tol, events=event,
-                    jac=lambda t, y: ring._unpinned_jacobian(y, spec, weights))
-    y = sol.y_events[0][0] if sol.status == 1 else sol.y[:, -1]
+    sol = solve_ivp(lambda t, y: ring._rhs_fft(y[pos], spec, weights, pinned=False)[order],
+                    (0.0, t_end), theta0[order], method="LSODA", rtol=tol, atol=tol,
+                    events=event, **options)
+    y = (sol.y_events[0][0] if sol.status == 1 else sol.y[:, -1])[pos]
     return y - y[0], sol
 
 
-def test_integrate_takes_the_band_for_narrow_pairwise_rings_only(monkeypatch):
-    dense = ring._unpinned_jacobian
-    # a narrow pairwise ring turns stiff without ever building the dense Jacobian
-    monkeypatch.setattr(ring, "_unpinned_jacobian", lambda *a: pytest.fail("dense jacobian built"))
+def _lsoda_cases():
+    """``(spec, weights, theta0, t_end, tol)`` of LSODA runs that turn stiff and stop.
+
+    The narrow pairwise relaxation takes the band; distant couplings (triplet,
+    quadruplet) and a wide band (r = 0.3) take the dense unpinned Jacobian in
+    the same frame (the quadruplet ring sits near its threshold, so that
+    LSODA turns stiff).
+    """
     spec, w, theta0 = _attractive_relaxation_case()
-    out = integrate(theta0, spec, w, t_end=1e7, tol=1e-10)
-    assert (out.method, out.stop_reason) == ("lsoda", "equilibrium") and out.theta[0] == 0.0
-    assert out.jacobians > 0 and np.max(np.abs(rhs(out.theta, spec, w))) < 1.01e-10
-    # distant couplings (triplet, quadruplet) and a wide band (r = 0.3) take
-    # the dense unpinned Jacobian in the same frame: they stop at the
-    # equilibrium, bit for bit as the call written out (the quadruplet ring
-    # sits near its threshold, so that LSODA turns stiff)
-    calls = []
-    monkeypatch.setattr(ring, "_unpinned_jacobian", lambda *a: calls.append(1) or dense(*a))
+    cases = [(spec, w, theta0, 1e7, 1e-10)]
     r_near = spectrum.threshold(3, spectrum.ATTRACTIVE_R0) - 5e-3
     for M, q, p, sign in ((120, 3, Params(0.3, 0.5, 0.0), ring.ATTRACTIVE),
                           (120, 3, Params(r_near, 0.0, 0.05), ring.ATTRACTIVE),
                           (200, 3, Params(0.3), ring.REPULSIVE)):
         spec, w = SystemSpec(p, sign=sign), build_weights(M, p.r)
-        theta0 = perturb(twisted_state(M, q), 1e-1, seed=7)
+        cases.append((spec, w, perturb(twisted_state(M, q), 1e-1, seed=7), 1e4, 1e-11))
+    return cases
+
+
+def test_integrate_takes_the_band_for_narrow_pairwise_rings_only(monkeypatch):
+    dense = ring._unpinned_jacobian
+    (spec, w, theta0, t_end, tol), *dense_cases = _lsoda_cases()
+    # a narrow pairwise ring turns stiff without ever building the dense Jacobian
+    monkeypatch.setattr(ring, "_unpinned_jacobian", lambda *a: pytest.fail("dense jacobian built"))
+    out = integrate(theta0, spec, w, t_end=t_end, tol=tol)
+    assert (out.method, out.stop_reason) == ("lsoda", "equilibrium") and out.theta[0] == 0.0
+    assert out.jacobians > 0 and np.max(np.abs(rhs(out.theta, spec, w))) <= ring.EQUILIBRIUM_TOL
+    # every other ring builds the dense unpinned Jacobian and stops at the equilibrium
+    calls = []
+    monkeypatch.setattr(ring, "_unpinned_jacobian", lambda *a: calls.append(1) or dense(*a))
+    for spec, w, theta0, t_end, tol in dense_cases:
         calls.clear()
-        out = integrate(theta0, spec, w, t_end=1e4)
-        assert calls and out.stop_reason == "equilibrium" and out.theta[0] == 0.0
-        assert np.max(np.abs(rhs(out.theta, spec, w))) < 1.01e-10
-        theta, sol = _dense_lsoda(theta0, spec, w, t_end=1e4)
-        assert out.jacobians == sol.njev > 0 and np.array_equal(out.theta, theta)
-        assert out.t_reached == sol.t_events[0][0] and out.steps == len(sol.t) - 1
+        out = integrate(theta0, spec, w, t_end=t_end, tol=tol)
+        assert len(calls) == out.jacobians > 0
+        assert out.stop_reason == "equilibrium" and out.theta[0] == 0.0
+        assert np.max(np.abs(rhs(out.theta, spec, w))) <= ring.EQUILIBRIUM_TOL
+
+
+def test_integrate_steps_lsoda_as_solve_ivp_does():
+    # integrate steps LSODA itself. To a fixed end time it returns the bits of
+    # the same run under solve_ivp; at the stop it takes the same steps and
+    # Jacobians and lies within its resolution, tol / EQUILIBRIUM_TOL in time,
+    # of solve_ivp's event time
+    for (spec, w, theta0, t_end, tol), t_fixed in zip(_lsoda_cases(), (1e3, 150.0, 2e3, 1e3)):
+        out = integrate(theta0, spec, w, t_end=t_end, tol=tol)
+        theta, sol = _lsoda_oracle(theta0, spec, w, t_end, tol)
+        assert (out.stop_reason, sol.status) == ("equilibrium", 1)
+        assert (out.steps, out.jacobians) == (len(sol.t) - 1, sol.njev)
+        assert abs(out.t_reached - sol.t_events[0][0]) <= tol / ring.EQUILIBRIUM_TOL
+        # a fixed end time before the stop, after LSODA has turned stiff
+        out = integrate(theta0, spec, w, t_end=t_fixed, tol=tol)
+        theta, sol = _lsoda_oracle(theta0, spec, w, t_fixed, tol)
+        assert (out.stop_reason, sol.status, out.t_reached) == ("t_end", 0, sol.t[-1])
+        assert (out.steps, out.jacobians) == (len(sol.t) - 1, sol.njev) and out.jacobians > 0
+        assert np.array_equal(out.theta, theta)
+
+
+def test_integrate_returned_equilibria_meet_the_stop():
+    # the stop holds on the state returned, not only on the state it tested:
+    # band LSODA and ETDRK4 from eight starts, dense LSODA on three rings from
+    # three starts each
+    spec, w, _ = _attractive_relaxation_case()
+    runs = []
+    for seed in range(8):
+        theta0 = perturb(twisted_state(120, 3), 1e-4, seed=seed)
+        runs += [(spec, w, run(theta0, spec, w, t_end=1e7, tol=1e-10))
+                 for run in (integrate, _integrate_etdrk4)]
+    for spec, w, _, t_end, tol in _lsoda_cases()[1:]:
+        for seed in range(3):
+            theta0 = perturb(twisted_state(w.M, 3), 1e-1, seed=seed)
+            runs.append((spec, w, integrate(theta0, spec, w, t_end=t_end, tol=tol)))
+    assert [o.method for _, _, o in runs].count("lsoda") == 17
+    for spec, w, out in runs:
+        assert out.stop_reason == "equilibrium"
+        assert np.max(np.abs(rhs(out.theta, spec, w))) <= ring.EQUILIBRIUM_TOL
 
 
 def test_integrate_does_not_leak_lsoda_work_arrays():
