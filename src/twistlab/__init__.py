@@ -17,10 +17,8 @@ touches the finite ring never imports scipy.
 import importlib
 import os
 
-# One OpenBLAS thread unless the caller chose a count: the LU factorizations of
-# Newton solves and of LSODA's stiff steps then give the same bits on any number
-# of cores. A library loaded after this line reads it; one that numpy or scipy
-# loaded earlier is set to one thread when ``ring`` loads.
+# Only the fallback for an OpenBLAS without the thread setter that ``ring`` calls
+# (older numpy and scipy wheels): a library loaded after this line reads it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import bifurcation, errors, kernel, spectrum

@@ -49,9 +49,10 @@ This is the one module that needs scipy (LSODA and the dense and band LU
 routines), and it imports it at module level. The package imports
 this module on first use of ``twistlab.ring`` or of a finite-ring name it
 re-exports, so work on the closed forms alone never loads scipy. Loading it
-also holds the bundled OpenBLAS libraries to the package's one-thread pin
-when scipy was imported first (:func:`_pin_openblas_threads`). Finite
-thresholds are refined by the package's own Brent solver, ``kernel._brentq``.
+pins the bundled OpenBLAS to one thread (:func:`_pin_openblas_threads`):
+outputs are the same bits at any ``OPENBLAS_NUM_THREADS``, and a caller's
+own BLAS work then runs on one thread too. Finite thresholds are refined by
+the package's own Brent solver, ``kernel._brentq``.
 """
 
 import ctypes
@@ -111,11 +112,10 @@ NEWTON_TOL = 1e-12
 def _pin_openblas_threads():
     """One thread in the OpenBLAS libraries bundled with numpy and scipy.
 
-    ``OPENBLAS_NUM_THREADS`` is read when a library loads, so the package's
-    pin misses a library that numpy or scipy loaded before twistlab was
-    imported. Each wheel's library, found next to its package, exports a
-    setter for the running library; a build without it is left as it is,
-    with a DEBUG line.
+    Called when this module loads, whatever ``OPENBLAS_NUM_THREADS`` says or
+    was imported first, so a caller's own BLAS work runs on one thread too.
+    Each wheel's library, found next to its package, exports a setter for the
+    running library; a build without one keeps its count, logged at DEBUG.
     """
     for package, symbol in ((scipy, "scipy_openblas_set_num_threads"),
                             (np, "scipy_openblas_set_num_threads64_")):
@@ -133,9 +133,7 @@ def _pin_openblas_threads():
             _log.debug("no %s in %s; its OpenBLAS keeps its thread count", symbol, libs)
 
 
-# the package set 1 unless the caller chose a count, which then wins
-if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
-    _pin_openblas_threads()
+_pin_openblas_threads()
 
 
 @dataclass(frozen=True)
@@ -642,7 +640,7 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
 
     f0 = field(theta0)
     t, theta, g = 0.0, theta0, excess(f0, 0.0)
-    storage, solver, steps, accepted = "", None, (), 0
+    storage, solver, steps, accepted, jacobians = "", None, (), 0, 0
     if g > 0.0 and method == "etdrk4":
         steps = _etdrk4_steps(theta0, f0, field, spec, weights, t_end, tol)
     elif g > 0.0:
@@ -662,26 +660,30 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
                 yield solver.t, repin(solver.y), None, lambda s: repin(solver.dense_output()(s))
 
         steps = lsoda_steps()
-    for accepted, (t_new, theta_new, f, at) in enumerate(steps, 1):
-        g_new = excess(field(theta_new, stop=True) if f is None else f, t)
-        if g_new <= 0.0:
-            below = []                            # times seen where the stop holds
+    below = []                                    # times seen where the stop holds
 
-            def stop(s):
-                g_s = g if s == t else g_new if s == t_new else excess(field(at(s), stop=True), t)
-                if g_s <= 0.0:
-                    below.append(s)
-                return g_s
+    def stop(s):                                  # on the step from t to t_new, once it holds
+        g_s = g if s == t else g_new if s == t_new else excess(field(at(s), stop=True), t)
+        if g_s <= 0.0:
+            below.append(s)
+        return g_s
 
-            kernel._brentq(stop, t, t_new, xtol=tol / EQUILIBRIUM_TOL)
-            # brentq may end on either side of the root; the earliest time seen
-            # below it lies within xtol of the root and meets the stop
-            t_stop = min(below)
-            theta_new, t_new = theta_new if t_stop == t_new else at(t_stop), t_stop
-        t, theta, g = t_new, theta_new, g_new
-        if g <= 0.0:
-            break
-    jacobians = 0 if solver is None else int(solver.njev)
+    try:
+        for accepted, (t_new, theta_new, f, at) in enumerate(steps, 1):
+            g_new = excess(field(theta_new, stop=True) if f is None else f, t)
+            if g_new <= 0.0:
+                kernel._brentq(stop, t, t_new, xtol=tol / EQUILIBRIUM_TOL)
+                # brentq may end on either side of the root; the earliest time seen
+                # below it lies within xtol of the root and meets the stop
+                t_stop = min(below)
+                theta_new, t_new = theta_new if t_stop == t_new else at(t_stop), t_stop
+            t, theta, g = t_new, theta_new, g_new
+            if g <= 0.0:
+                break
+    finally:
+        if solver is not None:        # scipy's solver refers to itself: read it, then let it go
+            jacobians = int(solver.njev)
+            solver.__dict__.clear()
     _log.debug("integrate: %s, %s%d steps, %d rhs evaluations, %d in the stop, %d jacobians",
                method, storage, accepted, evals[0], evals[1], jacobians)
     return IntegrationResult(theta=theta - theta[0], t_reached=float(t), method=method,

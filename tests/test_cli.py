@@ -284,9 +284,10 @@ def test_branch_makes_no_eigensolve(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_package_import_pins_openblas_to_one_thread_unless_set():
-    # LU factorizations round differently on different BLAS thread counts, so
-    # without the pin the console script's bytes would follow the core count
+def test_package_import_sets_the_openblas_environment_fallback():
+    # the environment default is the one-thread pin only for an OpenBLAS
+    # that exports no thread setter and loads after the import; it leaves a
+    # count the caller set, which ring's setter then overrides where it can
     import twistlab
 
     env = dict(os.environ)
@@ -302,31 +303,51 @@ def test_package_import_pins_openblas_to_one_thread_unless_set():
 
 
 _IMPORT_ORDER_SCRIPT = """
-import hashlib, sys, tempfile
+import ctypes, glob, hashlib, json, os, sys, tempfile
 from pathlib import Path
 if sys.argv[1] == "scipy":
     import scipy.linalg
-from twistlab import cli
+from twistlab import cli, ring  # ring: the import that sets the thread count
+import numpy, scipy
+threads = []
+for package, symbol in ((scipy, "scipy_openblas_get_num_threads"),
+                        (numpy, "scipy_openblas_get_num_threads64_")):
+    libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                        package.__name__ + ".libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        getter = getattr(ctypes.CDLL(path), symbol)
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        threads.append(getter())
 out = tempfile.mkdtemp(dir=sys.argv[2])
-assert cli.main(["branch", "--preset", "fig5", "--out", out]) == 0
-print(hashlib.sha256(Path(out, "equilibrium.csv").read_bytes()).hexdigest())
+assert cli.main(["equilibrium", "--M", "800", "--q", "5", "--lambda=0.01", "--init", "z1",
+                 "--s0=-1e-4", "--out", out]) == 0
+results = json.loads(Path(out, "equilibrium.json").read_text())["results"]
+data = Path(out, "equilibrium.csv").read_bytes() + json.dumps(results, sort_keys=True).encode()
+print(json.dumps([threads, hashlib.sha256(data).hexdigest()]))
 """
 
 
 def test_openblas_pin_holds_whatever_is_imported_first(tmp_path):
-    # scipy loaded before twistlab read no thread pin from the environment;
-    # loading the finite-ring layer pins its OpenBLAS, so the M=1000 Newton
-    # LUs of branch --preset fig5 round the same either way
+    # loading the finite-ring layer sets both bundled OpenBLAS libraries to
+    # one thread, whatever OPENBLAS_NUM_THREADS says and whether scipy loaded
+    # its library before twistlab; so the dense-path LUs and eigensolve of a
+    # triplet-spec Newton at M=800, whose leading eigenvalue moves in its
+    # last digits between one and two threads, give the same bytes every way
     import twistlab
 
     env = dict(os.environ)
-    env.pop("OPENBLAS_NUM_THREADS", None)
     env["PYTHONPATH"] = str(Path(twistlab.__file__).parents[1])
-    digests = [subprocess.run([sys.executable, "-c", _IMPORT_ORDER_SCRIPT, first, str(tmp_path)],
-                              env=env, capture_output=True, text=True, check=True,
-                              timeout=300).stdout.split()[-1]
-               for first in ("scipy", "twistlab")]
-    assert digests[0] == digests[1]
+    runs = []
+    for count in (None, "2"):
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if count is not None:
+            env["OPENBLAS_NUM_THREADS"] = count
+        runs += [json.loads(subprocess.run(
+            [sys.executable, "-c", _IMPORT_ORDER_SCRIPT, first, str(tmp_path)], env=env,
+            capture_output=True, text=True, check=True, timeout=300).stdout.splitlines()[-1])
+            for first in ("scipy", "twistlab")]
+    assert [threads for threads, _ in runs] == [[1, 1]] * 4
+    assert len({digest for _, digest in runs}) == 1
 
 
 def test_openblas_pin_skips_a_build_without_the_setter(monkeypatch, caplog, tmp_path):

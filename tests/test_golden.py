@@ -109,12 +109,13 @@ def test_upsilon0_matches_golden_bits():
     assert upsilon0().hex() == GOLDEN_UPSILON0
 
 
-#: ``integrate`` runs at one OpenBLAS thread, tol 1e-11, t_end 2e6, from
+#: ``integrate`` runs at tol 1e-11, t_end 2e6, from
 #: ``perturb(twisted_state(M, q), 1e-2, 1)``: ``t_reached`` as float.hex, the
 #: final state's SHA-256 prefix, and ``(steps, rhs_evals, stop_evals,
 #: jacobians)``. fig6 is the repulsive M=1000, q=5 ring 1e-5 inside its
 #: threshold (LSODA, band Jacobian); large_ring the stable M=65536, q=8 ring
-#: with all three orders (ETDRK4).
+#: with all three orders (ETDRK4). They hold at any OPENBLAS_NUM_THREADS:
+#: loading ``ring`` sets OpenBLAS to one thread whatever the caller exported.
 GOLDEN_RUNS = {
     "fig6": ("0x1.0d9960d08ca52p+19", "4a43048c340f058f", (686, 1777, 689, 71)),
     "large_ring": ("0x1.11691ac26b206p+9", "c3bc09f3e196459d", (8, 42, 9, 0)),

@@ -901,6 +901,53 @@ def test_integrate_does_not_leak_lsoda_work_arrays():
     assert grown < 20_000, grown
 
 
+def test_integrate_lets_its_lsoda_solver_go_without_the_cycle_collector(monkeypatch):
+    # scipy's solver refers to itself through its field wrappers, which hold
+    # integrate's closures and the band index arrays (about 2.9 MB a call at
+    # fig6's size); integrate lets it go when it returns and when it raises,
+    # so no run leaves its solver for a cyclic collection
+    import gc
+    import tracemalloc
+    import weakref
+
+    M, q = 1000, 5
+    p = Params(finite_threshold(q, M, ring.REPULSIVE) - 1e-5)
+    spec, w = SystemSpec(p, sign=ring.REPULSIVE), build_weights(M, p.r)
+    theta0 = perturb(twisted_state(M, q), 1e-2, seed=1)
+    integrate(theta0, spec, w, t_end=50.0)
+    solvers, rhs_fft = [], ring._rhs_fft
+
+    class Recorded(ring._LSODA):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(weakref.ref(self))
+
+    monkeypatch.setattr(ring, "_LSODA", Recorded)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            integrate(theta0, spec, w, t_end=50.0)
+        grown = tracemalloc.get_traced_memory()[0] - before
+        calls = []
+
+        def nan_from_the_20th_call(theta, *args):
+            calls.append(1)
+            return rhs_fft(theta, *args) * (np.nan if len(calls) >= 20 else 1.0)
+
+        monkeypatch.setattr(ring, "_rhs_fft", nan_from_the_20th_call)
+        with pytest.raises(StiffnessError, match="NaN"):
+            integrate(theta0, spec, w, t_end=50.0)
+        alive = [ref() is not None for ref in solvers]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert grown < 500_000, grown
+    assert alive == [False] * 4
+
+
 def test_integrate_logs_lsoda_jacobian_storage(caplog):
     spec, w, theta0 = _attractive_relaxation_case()
     wide = SystemSpec(Params(0.3)), build_weights(120, 0.3)
