@@ -8,10 +8,11 @@ Modules:
     cli         -- command-line front end
 
 The closed forms (``kernel``, ``spectrum``, ``bifurcation``) need only numpy.
-``ring`` needs scipy's integrators and LU routines, so it loads on first use:
-``twistlab.ring``, or any of the finite-ring names re-exported here
-(``integrate``, ``SystemSpec``, ...), imports it then. A process that never
-touches the finite ring never imports scipy.
+``ring`` loads on first use: ``twistlab.ring``, or any of the finite-ring
+names re-exported here (``integrate``, ``SystemSpec``, ...), imports it then.
+It imports scipy's package to pin OpenBLAS, and scipy's integrator and LU
+routines only when a run first needs them. A process that never touches the
+finite ring never imports scipy.
 """
 
 import importlib
@@ -39,7 +40,7 @@ from .spectrum import SpectrumReport, alt_eigenvalue, kappa, spectrum_report, su
 
 __version__ = "0.1.0"
 
-#: Names of ``ring`` the package re-exports; ``ring`` and scipy load on first use.
+#: Names of ``ring`` the package re-exports; ``ring`` loads on first use.
 _RING_NAMES = frozenset({
     "BranchRow", "CouplingWeights", "EquilibriumResult", "IntegrationResult", "SystemSpec",
     "build_weights", "finite_threshold", "follow_branch", "integrate", "jacobian",

@@ -46,13 +46,17 @@ bifurcating branch come from :func:`follow_branch`, which anchors them at
 the ring's own threshold and continues each from the last.
 
 This is the one module that needs scipy (LSODA and the dense and band LU
-routines), and it imports it at module level. The package imports
-this module on first use of ``twistlab.ring`` or of a finite-ring name it
-re-exports, so work on the closed forms alone never loads scipy. Loading it
-pins the bundled OpenBLAS to one thread (:func:`_pin_openblas_threads`):
-outputs are the same bits at any ``OPENBLAS_NUM_THREADS``, and a caller's
-own BLAS work then runs on one thread too. Finite thresholds are refined by
-the package's own Brent solver, ``kernel._brentq``.
+routines), and it loads each part on first use: ``scipy.integrate`` with the
+first LSODA run (:func:`_lsoda`), ``scipy.linalg`` with the first Newton
+factorization. Finite thresholds, spectra at twisted states and ETDRK4 runs
+above ``DENSE_CAP`` run on numpy alone. The package imports this module on
+first use of ``twistlab.ring`` or of a finite-ring name it re-exports, so
+work on the closed forms never loads it. Loading it imports only scipy's
+package, to pin the bundled OpenBLAS to one thread
+(:func:`_pin_openblas_threads`): outputs are the same bits at any
+``OPENBLAS_NUM_THREADS``, and a caller's own BLAS work then runs on one
+thread too. Finite thresholds are refined by the package's own Brent
+solver, ``kernel._brentq``.
 """
 
 import ctypes
@@ -66,9 +70,6 @@ from typing import Optional
 
 import numpy as np
 import scipy
-from scipy.integrate import LSODA, solve_ivp   # solve_ivp: not called; the bench tracer patches it
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgbtrf as gbtrf, dgbtrs as gbtrs, dgecon as gecon
 
 from . import bifurcation, kernel, spectrum
 from .errors import (
@@ -280,13 +281,18 @@ def _check_state(theta, weights):
 
 
 def _rhs_fft(theta, spec, weights, pinned=True):
-    """The field of :func:`rhs`; ``pinned=False`` skips subtracting entry 0's velocity."""
+    """The field of :func:`rhs`; ``pinned=False`` skips subtracting entry 0's velocity.
+
+    Works in place on the arrays it makes, so a call at large M allocates
+    few temporaries; every complex product keeps its operand order (numpy's
+    complex multiply is not bitwise commutative).
+    """
     M = weights.M
-    u = np.exp(1j * theta)
-    U = np.fft.fft(u)
+    u = 1j * theta
+    U = np.fft.fft(np.exp(u, out=u))
+    cu = np.conj(u, out=u)                        # u itself is read only through conj(u)
     B = weights.b_fft
     p, orders = spec.p, spec.include_orders
-    G = np.zeros(M)
     if QUADRUPLET in orders:
         # conv(b, u, u, conj u) has spectrum B U |U|^2 and is read through
         # conj(u) like the pairwise conv(b, u): one ifft of B U X serves both
@@ -297,9 +303,13 @@ def _rhs_fft(theta, spec, weights, pinned=True):
             X += 1.0 / M
         X = X * U
         X *= B
-        G = (np.conj(u) * np.fft.ifft(X)).imag
+        G = np.multiply(cu, np.fft.ifft(X, out=X), out=X).imag
     elif PAIRWISE in orders:
-        G = (np.conj(u) * np.fft.ifft(B * U)).imag / M
+        X = B * U
+        G = np.multiply(cu, np.fft.ifft(X, out=X), out=X).imag
+        G /= M
+    else:
+        G = np.zeros(M)
     if TRIPLET in orders:
         Y = B * U
         Y *= U
@@ -308,15 +318,20 @@ def _rhs_fft(theta, spec, weights, pinned=True):
             # spectrum at length M/2, once for k < M/2 and again for k >= M/2
             h = M // 2
             Y[:h] += Y[h:]
-            half = np.fft.ifft(Y[:h])
+            half = np.fft.ifft(Y[:h], out=Y[:h])
             half *= 0.5
-            conv = np.concatenate((half, half))
+            Y[h:] = half
+            conv = Y
         else:
-            conv = np.fft.ifft(Y)[(2 * np.arange(M)) % M]
-        G = G + p.lam * (np.conj(u) ** 2 * conv).imag / M**2
+            conv = np.fft.ifft(Y, out=Y)[(2 * np.arange(M)) % M]
+        T = np.multiply(np.square(cu, out=cu), conv, out=conv).imag
+        T *= p.lam
+        T /= M**2
+        G += T
     if not pinned:
         return spec.sign_factor * G
-    out = spec.sign_factor * (G - G[0])
+    out = G - G[0]
+    out *= spec.sign_factor
     out[0] = 0.0
     return out
 
@@ -534,27 +549,60 @@ def jacobian_spectrum(theta, spec, weights, n_eigs=None):
     return parts if n_eigs is None else parts[:n_eigs]
 
 
-class _LSODA(LSODA):
-    """scipy's LSODA, handing every solve of one size in a thread the same work arrays.
+def _lsoda_class():
+    """A subclass of scipy's LSODA, built by :func:`_lsoda`, which imports ``scipy.integrate``."""
+    from scipy.integrate import LSODA
 
-    scipy 1.17.1's LSODA step takes a reference to the solver's work arrays
-    at every step and never returns it, so each solve leaks them for good:
-    8.1 MB at M = 1000 with the dense Jacobian, 5.7 MB with the fig6 band.
-    Each solve copies its fresh arrays into the kept ones, so it starts from
-    the same values; the leak is then one pair per size and thread.
+    class _LSODA(LSODA):
+        """scipy's LSODA, handing every solve of one size in a thread the same work arrays.
+
+        scipy 1.17.1's LSODA step takes a reference to the solver's work arrays
+        at every step and never returns it, so each solve leaks them for good:
+        8.1 MB at M = 1000 with the dense Jacobian, 5.7 MB with the fig6 band.
+        Each solve copies its fresh arrays into the kept ones, so it starts from
+        the same values; the leak is then one pair per size and thread.
+        """
+
+        __qualname__ = "_LSODA"
+        _kept = threading.local()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            lsoda, kept = self._lsoda_solver._integrator, self._kept.__dict__
+            for i, name in ((4, "rwork"), (5, "iwork")):
+                fresh = getattr(lsoda, name)
+                work = kept.setdefault((name, fresh.size), fresh)
+                work[...] = fresh
+                setattr(lsoda, name, work)
+                lsoda.call_args[i] = work
+
+    return _LSODA
+
+
+_lsoda_lock = threading.Lock()
+
+
+def _lsoda():
+    """``ring._LSODA``, which the first call builds (:func:`_lsoda_class`), once across threads.
+
+    Read from the module's namespace, so a class assigned to ``ring._LSODA``
+    is the one :func:`integrate` runs.
     """
+    with _lsoda_lock:
+        if "_LSODA" not in globals():
+            globals()["_LSODA"] = _lsoda_class()
+        return globals()["_LSODA"]
 
-    _kept = threading.local()
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        lsoda, kept = self._lsoda_solver._integrator, self._kept.__dict__
-        for i, name in ((4, "rwork"), (5, "iwork")):
-            fresh = getattr(lsoda, name)
-            work = kept.setdefault((name, fresh.size), fresh)
-            work[...] = fresh
-            setattr(lsoda, name, work)
-            lsoda.call_args[i] = work
+def __getattr__(name):
+    # scipy.integrate loads on first use: _LSODA on the first LSODA run, and
+    # solve_ivp, which nothing here calls, for the bench tracer that patches it
+    if name == "_LSODA":
+        return _lsoda()
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -648,8 +696,8 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
         order, pos, bw, fill = _band_jacobian(spec, weights) or (
             slice(None), slice(None), None, lambda y: _unpinned_jacobian(y, spec, weights))
         storage = "dense jacobian, " if bw is None else f"band jacobian, half-bandwidth {bw}, "
-        solver = _LSODA(lambda t, y: field(y[pos], pinned=False)[order], 0.0, theta0[order],
-                        t_end, rtol=tol, atol=tol, jac=lambda t, y: fill(y), lband=bw, uband=bw)
+        solver = _lsoda()(lambda t, y: field(y[pos], pinned=False)[order], 0.0, theta0[order],
+                          t_end, rtol=tol, atol=tol, jac=lambda t, y: fill(y), lband=bw, uband=bw)
         repin = lambda y: y[pos] - y[0]           # site 0 is fold position 0
 
         def lsoda_steps():                        # re-pinned, the stop tests the states returned
@@ -734,9 +782,22 @@ def _etdrk4_state(v, stages, h, s, nu, phi):
     n1, na, nb, nc = stages
     p1, p2, p3 = phi
     x = s / h
-    return (np.exp(s * nu) * v + s * p1 * n1
-            + (s * x) * p2 * (2.0 * (na + nb) - 3.0 * n1 - nc)
-            + (4.0 * s * x * x) * p3 * (n1 - na - nb + nc))
+    # in place, each product with the operand order of
+    #   e^(s nu) v + s p1 n1 + (s x) p2 (2 (na + nb) - 3 n1 - nc)
+    #   + (4 s x^2) p3 (n1 - na - nb + nc)
+    e = s * nu
+    out = np.multiply(np.exp(e, out=e), v)
+    w = np.multiply(s * p1, n1)
+    out += w
+    a = np.multiply(2.0, na + nb)
+    a -= np.multiply(3.0, n1, out=w)
+    a -= nc
+    out += np.multiply((s * x) * p2, a, out=a)
+    np.subtract(n1, na, out=a)
+    a -= nb
+    a += nc
+    out += np.multiply((4.0 * s * x * x) * p3, a, out=a)
+    return out
 
 
 def _etdrk4_step(nonlinear, v, n1, h, nu):
@@ -749,11 +810,17 @@ def _etdrk4_step(nonlinear, v, n1, h, nu):
     z = 0.5 * h * nu
     e2 = np.exp(z)
     w2 = 0.5 * h * _phi(z)[0]
-    a = e2 * v + w2 * n1
-    na = nonlinear(a)
-    b = e2 * v + w2 * na
-    nb = nonlinear(b)
-    nc = nonlinear(e2 * a + w2 * (2.0 * nb - n1))
+    # in place, each product with the operand order of a = e2 v + w2 n1,
+    # b = e2 v + w2 na and c = e2 a + w2 (2 nb - n1)
+    ev = e2 * v
+    a = np.multiply(w2, n1)
+    na = nonlinear(np.add(ev, a, out=a))
+    b = np.multiply(w2, na)
+    nb = nonlinear(np.add(ev, b, out=b))
+    c = np.multiply(2.0, nb, out=b)
+    c -= n1
+    np.multiply(w2, c, out=c)
+    nc = nonlinear(np.add(np.multiply(e2, a, out=a), c, out=a))
     stages, phi = (n1, na, nb, nc), _phi(h * nu)
     return _etdrk4_state(v, stages, h, h, nu, phi), stages, phi
 
@@ -807,9 +874,13 @@ def _etdrk4_steps(theta0, f0, field, spec, weights, t_end, tol):
     def split(f, v):
         F = np.fft.rfft(f)
         F[0] = 0.0                                # the mean-free field
-        return F - nu * v
+        F -= nu * v
+        return F
 
-    state = lambda v: base + np.fft.irfft(v, M)
+    def state(v):
+        delta = np.fft.irfft(v, M)
+        return np.add(base, delta, out=delta)
+
     nonlinear = lambda v: split(field(state(v)), v)
 
     t, theta, v = 0.0, theta0, np.fft.rfft(theta0 - base)
@@ -830,8 +901,12 @@ def _etdrk4_steps(theta0, f0, field, spec, weights, t_end, tol):
         theta_new = state(v_new)
         f_new = field(theta_new)
         n_new = split(f_new, v_new)
-        scale = tol + tol * np.maximum(np.abs(theta), np.abs(theta_new))
-        err = rms(np.fft.irfft(_etdrk4_error(stages, n_new, h, phi), M) / scale)
+        scale = np.maximum(np.abs(theta), np.abs(theta_new))
+        scale *= tol
+        scale += tol
+        estimate = np.fft.irfft(_etdrk4_error(stages, n_new, h, phi), M)
+        estimate /= scale
+        err = rms(estimate)
         if math.isnan(err):
             raise StiffnessError(f"ETDRK4 error estimate is NaN at t={t:.6g}", t_reached=t)
         if err > 1.0:
@@ -906,11 +981,16 @@ def _pinned_solver(theta, spec, weights, band):
     """
     if band is None:
         J = jacobian(theta, spec, weights)[1:, 1:]
+        from scipy.linalg import lu_factor, lu_solve
+        from scipy.linalg.lapack import dgecon as gecon
+
         lu, piv = lu_factor(J)
         rcond = gecon(lu, np.linalg.norm(J, 1), norm="1")[0]
         return (lambda b: lu_solve((lu, piv), b)), float(rcond)
     M = weights.M
     _check_dense_cap(M, "Newton step")
+    from scipy.linalg.lapack import dgbtrf as gbtrf, dgbtrs as gbtrs
+
     order, _, bw, fill = band
     packed = fill(theta[order])[:, 1:]            # A without fold position 0, site 0
     cols = np.arange(bw)

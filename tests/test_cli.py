@@ -382,18 +382,32 @@ assert cli.main(["gamma", "--preset", "fig3a", "--out", out + "/b"]) == 0
 assert scipy_loaded() == [], scipy_loaded()[:5]
 from twistlab import SystemSpec, integrate
 assert twistlab.integrate is twistlab.ring.integrate and "integrate" in dir(twistlab)
-assert hasattr(twistlab.ring, "solve_ivp")
-assert cli.main(["thresholds", "--q", "5", "--kind", "attractive", "--M", "200",
-                 "--out", out + "/c"]) == 0
 assert "scipy" in scipy_loaded()
+# ring's solvers load on first use: LAPACK with the first Newton
+# factorization, LSODA with the first integrate at M <= DENSE_CAP
+heavy = lambda: [m for m in ("scipy.integrate", "scipy.linalg") if m in sys.modules]
+assert cli.main(["thresholds", "--q", "5", "--M", "1000", "--kind", "repulsive",
+                 "--out", out + "/c"]) == 0
+assert heavy() == [], heavy()
+assert cli.main(["simulate", "--M", "2048", "--q", "2", "--r", "0.3", "--t-end", "0.1",
+                 "--n-runs", "1", "--out", out + "/d"]) == 0
+assert heavy() == [], heavy()
+assert cli.main(["branch", "--preset", "fig5", "--out", out + "/e"]) == 0
+assert heavy() == ["scipy.linalg"], heavy()
+assert cli.main(["simulate", "--M", "200", "--q", "2", "--r", "0.3", "--t-end", "0.1",
+                 "--n-runs", "1", "--out", out + "/f"]) == 0
+assert "scipy.integrate" in sys.modules
+assert hasattr(twistlab.ring, "solve_ivp")   # resolves lazily, so only after the checks
 print("ok")
 """
 
 
 def test_closed_form_commands_import_no_scipy(tmp_path):
-    # the closed forms need only numpy; the finite-ring layer, and scipy with
-    # it, loads when a finite-ring name is first used. A fresh interpreter, so
-    # no other test's imports count.
+    # the closed forms need only numpy; the finite-ring layer loads when a
+    # finite-ring name is first used, with scipy's package (for the OpenBLAS
+    # pin) but not its solvers: thresholds --M and an ETDRK4 simulate above
+    # DENSE_CAP load neither LSODA nor LAPACK, branch loads only LAPACK. A
+    # fresh interpreter, so no other test's imports count.
     import twistlab
 
     env = dict(os.environ, PYTHONPATH=str(Path(twistlab.__file__).parents[1]))

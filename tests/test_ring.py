@@ -148,6 +148,26 @@ def test_rhs_matches_literal_sums():
     assert np.allclose(rhs(theta, spec, w), literal, atol=1e-13)
 
 
+
+def test_rhs_leaves_its_inputs_unchanged():
+    # the fast path works in place on the arrays it makes; the state and the
+    # weights, which later calls read again, keep their bits
+    import itertools
+
+    p = Params(0.19, 0.5, -0.4)
+    for M in (64, 63):
+        w = build_weights(M, p.r)
+        theta = _random_state(M, M, scale=3.0)
+        inputs = (theta, w.b, w.b_fft)
+        saved = [a.tobytes() for a in inputs]
+        for n in (1, 2, 3):
+            for orders in itertools.combinations(_ALL_ORDERS, n):
+                spec = SystemSpec(p, include_orders=orders)
+                rhs(theta, spec, w)
+                for pinned in (True, False):
+                    ring._rhs_fft(theta, spec, w, pinned)
+                assert [a.tobytes() for a in inputs] == saved, (M, orders)
+
 def test_rhs_validates_inputs():
     w = build_weights(16, 0.2)
     spec = SystemSpec(Params(0.2))
@@ -947,6 +967,62 @@ def test_integrate_lets_its_lsoda_solver_go_without_the_cycle_collector(monkeypa
     assert grown < 500_000, grown
     assert alive == [False] * 4
 
+
+
+_FIRST_LSODA_SCRIPT = """
+import sys, threading, time
+from twistlab import ring, spectrum
+from twistlab.kernel import Params
+
+assert "scipy.integrate" not in sys.modules and "_LSODA" not in vars(ring)
+build, builds = ring._lsoda_class, []
+
+def slow_build():                 # widens the window in which both threads find no class
+    builds.append(1)
+    time.sleep(0.05)
+    return build()
+
+ring._lsoda_class = slow_build
+q, M = 3, 120
+p = Params(spectrum.threshold(q, spectrum.ATTRACTIVE_R0) - 5e-3)
+spec, w = ring.SystemSpec(p), ring.build_weights(M, p.r)
+theta0 = ring.perturb(ring.twisted_state(M, q), 1e-2, seed=12)
+run = lambda: ring.integrate(theta0, spec, w, t_end=200.0)
+key = lambda out: (out.theta.tobytes(), out.t_reached, out.steps, out.rhs_evals, out.jacobians)
+start, outs = threading.Barrier(2), [None, None]
+
+def first(i):
+    start.wait(timeout=60)
+    outs[i] = run()
+
+threads = [threading.Thread(target=first, args=(i,)) for i in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=120)
+assert not any(t.is_alive() for t in threads)
+serial = run()
+assert outs[0].method == "lsoda" and outs[0].steps > 10, outs[0]
+assert [key(out) for out in outs] == [key(serial)] * 2
+assert builds == [1] and isinstance(ring._LSODA, type) and ring._LSODA.__name__ == "_LSODA"
+print("ok")
+"""
+
+
+def test_first_lsoda_runs_in_two_threads_build_one_class():
+    # scipy.integrate loads, and _LSODA is built, on the first LSODA run; two
+    # threads that make it at once get one class and the serial run's bits.
+    # A fresh interpreter, so the class is not yet built.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ring.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _FIRST_LSODA_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split()[-1] == "ok"
 
 def test_integrate_logs_lsoda_jacobian_storage(caplog):
     spec, w, theta0 = _attractive_relaxation_case()
