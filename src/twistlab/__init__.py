@@ -19,7 +19,8 @@ import importlib
 import os
 
 # Only the fallback for an OpenBLAS without the thread setter that ``ring`` calls
-# (older numpy and scipy wheels): a library loaded after this line reads it.
+# (a distribution's build, or an older wheel): a library loaded after this line
+# reads it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import bifurcation, errors, kernel, spectrum

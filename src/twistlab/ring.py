@@ -45,10 +45,10 @@ spec factors the dense pinned block of :func:`jacobian`. Rows on a
 bifurcating branch come from :func:`follow_branch`, which anchors them at
 the ring's own threshold and continues each from the last.
 
-This is the one module that needs scipy (LSODA and the dense and band LU
-routines), and it loads each part on first use: ``scipy.integrate`` with the
-first LSODA run (:func:`_lsoda`), ``scipy.linalg`` with the first Newton
-factorization. Finite thresholds, spectra at twisted states and ETDRK4 runs
+This is the one module that needs scipy (LSODA, through ``twistlab._lsoda``,
+and the dense and band LU routines), and it loads each part on first use:
+``scipy.integrate`` with the first LSODA run, ``scipy.linalg`` with the first
+Newton factorization. Finite thresholds, spectra at twisted states and ETDRK4 runs
 above ``DENSE_CAP`` run on numpy alone. The package imports this module on
 first use of ``twistlab.ring`` or of a finite-ring name it re-exports, so
 work on the closed forms never loads it. Loading it imports only scipy's
@@ -64,7 +64,7 @@ import glob
 import logging
 import math
 import os
-import threading
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -549,59 +549,13 @@ def jacobian_spectrum(theta, spec, weights, n_eigs=None):
     return parts if n_eigs is None else parts[:n_eigs]
 
 
-def _lsoda_class():
-    """A subclass of scipy's LSODA, built by :func:`_lsoda`, which imports ``scipy.integrate``."""
-    from scipy.integrate import LSODA
-
-    class _LSODA(LSODA):
-        """scipy's LSODA, handing every solve of one size in a thread the same work arrays.
-
-        scipy 1.17.1's LSODA step takes a reference to the solver's work arrays
-        at every step and never returns it, so each solve leaks them for good:
-        8.1 MB at M = 1000 with the dense Jacobian, 5.7 MB with the fig6 band.
-        Each solve copies its fresh arrays into the kept ones, so it starts from
-        the same values; the leak is then one pair per size and thread.
-        """
-
-        __qualname__ = "_LSODA"
-        _kept = threading.local()
-
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            lsoda, kept = self._lsoda_solver._integrator, self._kept.__dict__
-            for i, name in ((4, "rwork"), (5, "iwork")):
-                fresh = getattr(lsoda, name)
-                work = kept.setdefault((name, fresh.size), fresh)
-                work[...] = fresh
-                setattr(lsoda, name, work)
-                lsoda.call_args[i] = work
-
-    return _LSODA
-
-
-_lsoda_lock = threading.Lock()
-
-
-def _lsoda():
-    """``ring._LSODA``, which the first call builds (:func:`_lsoda_class`), once across threads.
-
-    Read from the module's namespace, so a class assigned to ``ring._LSODA``
-    is the one :func:`integrate` runs.
-    """
-    with _lsoda_lock:
-        if "_LSODA" not in globals():
-            globals()["_LSODA"] = _lsoda_class()
-        return globals()["_LSODA"]
-
-
 def __getattr__(name):
-    # scipy.integrate loads on first use: _LSODA on the first LSODA run, and
-    # solve_ivp, which nothing here calls, for the bench tracer that patches it
-    if name == "_LSODA":
-        return _lsoda()
-    if name == "solve_ivp":
-        from scipy.integrate import solve_ivp
-        return solve_ivp
+    # scipy.integrate loads on first use (twistlab._lsoda): _LSODA on the first
+    # LSODA run, and solve_ivp, which nothing here calls, for the bench tracer
+    # that patches it
+    if name in ("_LSODA", "solve_ivp"):
+        from . import _lsoda
+        return getattr(_lsoda, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -696,8 +650,9 @@ def integrate(theta0, spec, weights, t_end, tol=1e-11):
         order, pos, bw, fill = _band_jacobian(spec, weights) or (
             slice(None), slice(None), None, lambda y: _unpinned_jacobian(y, spec, weights))
         storage = "dense jacobian, " if bw is None else f"band jacobian, half-bandwidth {bw}, "
-        solver = _lsoda()(lambda t, y: field(y[pos], pinned=False)[order], 0.0, theta0[order],
-                          t_end, rtol=tol, atol=tol, jac=lambda t, y: fill(y), lband=bw, uband=bw)
+        lsoda = sys.modules[__name__]._LSODA      # a class assigned to ring._LSODA runs
+        solver = lsoda(lambda t, y: field(y[pos], pinned=False)[order], 0.0, theta0[order],
+                       t_end, rtol=tol, atol=tol, jac=lambda t, y: fill(y), lband=bw, uband=bw)
         repin = lambda y: y[pos] - y[0]           # site 0 is fold position 0
 
         def lsoda_steps():                        # re-pinned, the stop tests the states returned

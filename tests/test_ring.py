@@ -148,7 +148,6 @@ def test_rhs_matches_literal_sums():
     assert np.allclose(rhs(theta, spec, w), literal, atol=1e-13)
 
 
-
 def test_rhs_leaves_its_inputs_unchanged():
     # the fast path works in place on the arrays it makes; the state and the
     # weights, which later calls read again, keep their bits
@@ -167,6 +166,7 @@ def test_rhs_leaves_its_inputs_unchanged():
                 for pinned in (True, False):
                     ring._rhs_fft(theta, spec, w, pinned)
                 assert [a.tobytes() for a in inputs] == saved, (M, orders)
+
 
 def test_rhs_validates_inputs():
     w = build_weights(16, 0.2)
@@ -968,32 +968,24 @@ def test_integrate_lets_its_lsoda_solver_go_without_the_cycle_collector(monkeypa
     assert alive == [False] * 4
 
 
-
 _FIRST_LSODA_SCRIPT = """
-import sys, threading, time
+import sys, threading
 from twistlab import ring, spectrum
 from twistlab.kernel import Params
 
 assert "scipy.integrate" not in sys.modules and "_LSODA" not in vars(ring)
-build, builds = ring._lsoda_class, []
-
-def slow_build():                 # widens the window in which both threads find no class
-    builds.append(1)
-    time.sleep(0.05)
-    return build()
-
-ring._lsoda_class = slow_build
 q, M = 3, 120
 p = Params(spectrum.threshold(q, spectrum.ATTRACTIVE_R0) - 5e-3)
 spec, w = ring.SystemSpec(p), ring.build_weights(M, p.r)
 theta0 = ring.perturb(ring.twisted_state(M, q), 1e-2, seed=12)
 run = lambda: ring.integrate(theta0, spec, w, t_end=200.0)
 key = lambda out: (out.theta.tobytes(), out.t_reached, out.steps, out.rhs_evals, out.jacobians)
-start, outs = threading.Barrier(2), [None, None]
+start, outs, classes = threading.Barrier(2), [None, None], [None, None]
 
 def first(i):
     start.wait(timeout=60)
     outs[i] = run()
+    classes[i] = ring._LSODA
 
 threads = [threading.Thread(target=first, args=(i,)) for i in range(2)]
 for t in threads:
@@ -1004,15 +996,16 @@ assert not any(t.is_alive() for t in threads)
 serial = run()
 assert outs[0].method == "lsoda" and outs[0].steps > 10, outs[0]
 assert [key(out) for out in outs] == [key(serial)] * 2
-assert builds == [1] and isinstance(ring._LSODA, type) and ring._LSODA.__name__ == "_LSODA"
+one = sys.modules["twistlab._lsoda"]._LSODA
+assert classes[0] is one and classes[1] is one and ring._LSODA is one, classes
 print("ok")
 """
 
 
 def test_first_lsoda_runs_in_two_threads_build_one_class():
-    # scipy.integrate loads, and _LSODA is built, on the first LSODA run; two
+    # scipy.integrate loads, and _LSODA with it, on the first LSODA run; two
     # threads that make it at once get one class and the serial run's bits.
-    # A fresh interpreter, so the class is not yet built.
+    # A fresh interpreter, so the class is not yet loaded.
     import os
     import subprocess
     import sys
@@ -1023,6 +1016,7 @@ def test_first_lsoda_runs_in_two_threads_build_one_class():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
     assert out.stdout.split()[-1] == "ok"
+
 
 def test_integrate_logs_lsoda_jacobian_storage(caplog):
     spec, w, theta0 = _attractive_relaxation_case()
