@@ -18,7 +18,8 @@ twist count and M), dense eigenvalues of :func:`jacobian` at any other state.
 That Jacobian has one frame, the state's own M x M with row and column 0
 zero, built only up to ``DENSE_CAP``: it is the unpinned Jacobian
 (:func:`_unpinned_jacobian`) pinned in place, and the dense spectrum and
-Newton off the narrow pairwise rings read its pinned block ``[1:, 1:]``.
+Newton off the narrow pairwise rings read its pinned block ``[1:, 1:]``
+(Newton from a reflection-odd start its column fold).
 Ring shifts are :func:`symmetry_shift`, which :func:`best_shift_residual`
 also searches.
 
@@ -38,12 +39,21 @@ which holds the one stop, and the one result reports what the run cost.
 Damped Newton refinement of an equilibrium runs at most
 ``NEWTON_MAX_ITER`` iterations to the residual ``NEWTON_TOL``, up to
 ``DENSE_CAP``, and only solves: callers that want the spectrum at the
-solution ask :func:`jacobian_spectrum`. For a pairwise ring of short range
-its pinned Jacobian is ``(I + 1 1^T)`` times LSODA's band with site 0
-dropped, so its steps factor that band (:func:`_pinned_solver`); every other
-spec factors the dense pinned block of :func:`jacobian`. Rows on a
-bifurcating branch come from :func:`follow_branch`, which anchors them at
-the ring's own threshold and continues each from the last.
+solution ask :func:`jacobian_spectrum`. With symmetric weights every order
+is equivariant under the ring reflection ``theta_k -> -theta_{-k}``, so a
+start that is a twisted state plus a reflection-odd deviation (every branch
+profile, and every start the CLI builds) stays odd: Newton then solves on
+the ``(M - 1) // 2`` odd unknowns (:func:`_odd_solver`), whose block lacks
+the ring-shift direction that leaves the full pinned Jacobian nearly
+singular at branch equilibria. For a pairwise ring of short range that
+block is a band of half-width ``p``; every other spec folds the columns of
+:func:`jacobian`. Any other start solves on the ``M - 1`` pinned unknowns:
+for a pairwise ring of short range the pinned Jacobian is ``(I + 1 1^T)``
+times LSODA's band with site 0 dropped, so its steps factor that band
+(:func:`_pinned_solver`); every other spec factors the dense pinned block of
+:func:`jacobian`. Rows on a bifurcating branch come from
+:func:`follow_branch`, which anchors them at the ring's own threshold and
+continues each from the last.
 
 This is the one module that needs scipy (LSODA, through ``twistlab._lsoda``,
 and the dense and band LU routines), and it loads each part on first use:
@@ -885,7 +895,9 @@ class EquilibriumResult:
     residual_norm: float
     iterations: int
     halvings: int                         # step halvings over all iterations
-    rcond: Optional[float]                # of the last factored Jacobian; None after 0 iterations
+    # of the last factored block: the odd block on reflection-odd starts, else
+    # the pinned Jacobian; None after 0 iterations
+    rcond: Optional[float]
 
 
 def _inverse_norm1(solve, n):
@@ -917,6 +929,16 @@ def _inverse_norm1(solve, n):
     return max(est, 2.0 * float(np.sum(np.abs(solve(alt, False)))) / (3 * n))
 
 
+def _lu_solver(J):
+    """``(solve, rcond)`` of a dense square ``J``: its LU, and ``gecon``'s 1-norm estimate."""
+    from scipy.linalg import lu_factor, lu_solve
+    from scipy.linalg.lapack import dgecon as gecon
+
+    lu, piv = lu_factor(J)
+    rcond = gecon(lu, np.linalg.norm(J, 1), norm="1")[0]
+    return (lambda b: lu_solve((lu, piv), b)), float(rcond)
+
+
 def _pinned_solver(theta, spec, weights, band):
     """The pinned Newton system at ``theta``: ``(solve, rcond)``.
 
@@ -935,13 +957,7 @@ def _pinned_solver(theta, spec, weights, band):
     :class:`ResourceLimitError` past ``DENSE_CAP``.
     """
     if band is None:
-        J = jacobian(theta, spec, weights)[1:, 1:]
-        from scipy.linalg import lu_factor, lu_solve
-        from scipy.linalg.lapack import dgecon as gecon
-
-        lu, piv = lu_factor(J)
-        rcond = gecon(lu, np.linalg.norm(J, 1), norm="1")[0]
-        return (lambda b: lu_solve((lu, piv), b)), float(rcond)
+        return _lu_solver(jacobian(theta, spec, weights)[1:, 1:])
     M = weights.M
     _check_dense_cap(M, "Newton step")
     from scipy.linalg.lapack import dgbtrf as gbtrf, dgbtrs as gbtrs
@@ -974,26 +990,146 @@ def _pinned_solver(theta, spec, weights, band):
     return solve, rcond
 
 
+def _odd_base(theta):
+    """The twisted state ``tau`` off which ``theta`` deviates by a reflection-odd ``delta``, or None.
+
+    ``tau`` is ``twisted_state(M, q)`` for ``theta``'s winding number q, and
+    ``delta = theta - tau`` counts as odd, ``delta_{M-k} = -delta_k`` (so
+    ``delta_{M/2} = 0`` for even M), when it is so to 8 ulps of
+    ``max |theta|``: a profile built as ``tau`` plus a sine series is odd to
+    1-2 ulps, its rounding. O(M); None for a non-finite state.
+    """
+    M = len(theta)
+    winding = float(np.sum(wrap_to_pi(np.diff(theta, append=theta[0]))))
+    if not math.isfinite(winding):
+        return None
+    base = twisted_state(M, round(winding / TWO_PI))
+    delta = theta - base
+    gap = np.max(np.abs(delta[1:] + delta[:0:-1]))    # delta_k + delta_{M-k}, k = 1..M-1
+    return base if gap <= 8 * np.finfo(float).eps * np.max(np.abs(theta)) else None
+
+
+def _odd_band(spec, weights):
+    """The odd block of a narrow pairwise ring as a band: ``(p, fill)``, or None.
+
+    On reflection-odd deviations the unknowns are ``x_k = delta_k``,
+    ``k = 1..h`` with ``h = (M - 1) // 2``, and the Newton block is
+    ``O[i, j] = J[i, j] - J[i, M - j]``: the reflection folds the ring onto
+    the segment ``1..h``, and the pinning term ``A[0, j] - A[0, M - j]``
+    vanishes. For pairwise coupling of range ``p`` (the largest ring distance
+    with a nonzero weight) ``O`` is a band of half-width ``p`` with no wrap:
+    each row's ``2 p`` neighbours ``b_d cos(theta_k - theta_i) / M`` land on
+    column ``k``, or with a minus sign on column ``M - k`` in the two corners
+    ``i + j <= p`` and ``i + j >= M - p``, and their sum leaves the diagonal;
+    site 0 (pinned) and site ``M / 2`` (fixed) carry no unknown. None exactly
+    where :func:`_band_jacobian` is None. ``fill(theta)`` returns ``O`` in
+    the storage ``gbtrf`` factors in place, ``ab[2 p + i - j, j] = O[i, j]``
+    with ``p`` rows of room above, built in O(p M).
+    """
+    M, b = weights.M, weights.b
+    if spec.include_orders != (PAIRWISE,):
+        return None
+    d = np.arange(M)
+    p = int(np.minimum(d, M - d)[b != 0.0].max())
+    if 4 * p + 1 >= M:
+        return None
+    h = (M - 1) // 2
+    rows = d[1:h + 1]
+    offsets = np.concatenate((d[1:p + 1], -d[1:p + 1]))[:, None]
+    sites = (rows + offsets) % M                  # each row's 2 p neighbours
+    cols = np.where(sites <= h, sites, M - sites)
+    kept = np.flatnonzero((cols >= 1) & (cols <= h))
+    target = ((2 * p + rows - cols) * h + cols - 1).ravel()[kept]
+    sign = np.where(sites <= h, 1.0, -1.0).ravel()[kept]
+    coupling = (spec.sign_factor / M) * b[np.abs(offsets)]
+    diagonal = 2 * p * h + rows - 1
+
+    def fill(theta):
+        c = coupling * np.cos(theta[sites] - theta[rows])
+        ab = np.bincount(target, sign * c.ravel()[kept], (3 * p + 1) * h)
+        ab[diagonal] -= c.sum(axis=0)
+        return ab.reshape(3 * p + 1, h)
+
+    return p, fill
+
+
+def _odd_solver(theta, spec, weights, band):
+    """The Newton system on the reflection-odd unknowns at ``theta``: ``(solve, rcond)``.
+
+    ``solve(b)`` is ``O^-1 b`` for the odd block ``O`` of
+    :func:`_odd_band`, ``rcond`` its 1-norm reciprocal condition. ``band`` is
+    :func:`_odd_band`'s value for the spec. With None, ``O`` is the column
+    fold of the dense :func:`jacobian`, LU-factored, with ``gecon``'s
+    estimate. Otherwise one ``gbtrf`` of half-width ``p`` on ``h`` unknowns
+    serves every solve; ``||O||_1`` is summed from the band and
+    ``||O^-1||_1`` is :func:`_inverse_norm1` on ``gbtrs`` solves. Both paths
+    raise :class:`ResourceLimitError` past ``DENSE_CAP``.
+    """
+    M = weights.M
+    h = (M - 1) // 2
+    if band is None:
+        J = jacobian(theta, spec, weights)
+        return _lu_solver(J[1:h + 1, 1:h + 1] - J[1:h + 1, M - 1:M - h - 1:-1])
+    _check_dense_cap(M, "Newton step")
+    from scipy.linalg.lapack import dgbtrf as gbtrf, dgbtrs as gbtrs
+
+    p, fill = band
+    ab = fill(theta)
+    norm = float(np.max(np.sum(np.abs(ab), axis=0)))
+    lu, piv, info = gbtrf(ab, p, p, overwrite_ab=True)
+    solve = lambda b, transpose=False: gbtrs(lu, p, p, b, piv, trans=int(transpose))[0]
+    rcond = 0.0 if info > 0 else 1.0 / (_inverse_norm1(solve, h) * norm)
+    return solve, rcond
+
+
 def newton_equilibrium(theta_init, spec, weights):
     """Damped Newton iteration for an equilibrium of the pinned system.
 
-    Each step solves with the pinned Jacobian (:func:`_pinned_solver`): a
-    banded LU in the fold order for a pairwise ring of short range (the
-    rings whose LSODA Jacobian is :func:`_band_jacobian`'s band), a dense LU
-    of the pinned block of :func:`jacobian` for every other spec; both need
-    ``M <= DENSE_CAP``. A Jacobian whose 1-norm reciprocal condition is
-    below ``_RCOND_LIMIT`` raises :class:`NearSymmetryDegenerateError`.
-    Steps are halved (at most 30 times) until the residual decreases.
-    Success means ``sup |rhs| < NEWTON_TOL`` within ``NEWTON_MAX_ITER``
-    iterations; a start that meets it returns after 0, at any M, pinned
-    exactly. The result reports the iterations, the step halvings and the
-    last Jacobian's ``rcond``, and logs them at DEBUG level on the
-    ``twistlab`` logger with the path taken. The stability of the result is
+    The start alone picks the unknowns. When it is ``tau`` plus a
+    reflection-odd deviation (:func:`_odd_base`: ``tau`` the twisted state of
+    its winding number), the unknowns are the ``h = (M - 1) // 2`` values
+    ``x_k = delta_k = -delta_{M-k}``, every iterate is rebuilt as
+    ``tau + (x, -x)``, so it stays exactly odd, and each step solves with the
+    odd block ``J[i, j] - J[i, M - j]``, ``i, j = 1..h``
+    (:func:`_odd_solver`): a band of half-width ``p`` for a pairwise ring of
+    short range, the column fold of :func:`jacobian` for every other spec.
+    Every other start solves on the ``M - 1`` pinned unknowns with the
+    pinned Jacobian (:func:`_pinned_solver`): a banded LU in the fold order
+    for a pairwise ring of short range (the rings whose LSODA Jacobian is
+    :func:`_band_jacobian`'s band), a dense LU of the pinned block of
+    :func:`jacobian` for every other spec. All four need
+    ``M <= DENSE_CAP``. A block whose 1-norm reciprocal condition is below
+    ``_RCOND_LIMIT`` raises :class:`NearSymmetryDegenerateError`. Steps are
+    halved (at most 30 times) until the residual decreases. Success means
+    ``sup |rhs| < NEWTON_TOL`` within ``NEWTON_MAX_ITER`` iterations; a
+    start that meets it returns after 0, at any M, pinned exactly. The
+    result reports the iterations, the step halvings and the last block's
+    ``rcond``, and logs them at DEBUG level on the ``twistlab`` logger with
+    the path taken: ``odd band, half-bandwidth p``, ``odd dense``,
+    ``band, half-bandwidth 2p`` or ``dense``. The stability of the result is
     :func:`jacobian_spectrum` at ``result.theta``.
     """
     theta = _check_state(theta_init, weights).copy()
-    band = _band_jacobian(spec, weights)
-    path = "dense" if band is None else f"band, half-bandwidth {band[2]}"
+    base = _odd_base(theta)
+    if base is None:                              # the M - 1 pinned unknowns theta[1:]
+        band = _band_jacobian(spec, weights)
+        path = "dense" if band is None else f"band, half-bandwidth {band[2]}"
+        factor = lambda theta: _pinned_solver(theta, spec, weights, band)
+        x, rows, pin = theta[1:], slice(1, None), theta[:1]
+        state = lambda x: np.concatenate((pin, x))
+    else:                                         # the h odd unknowns x = delta[1:h + 1]
+        band = _odd_band(spec, weights)
+        path = "odd dense" if band is None else f"odd band, half-bandwidth {band[0]}"
+        factor = lambda theta: _odd_solver(theta, spec, weights, band)
+        M, h = weights.M, (weights.M - 1) // 2
+        x, rows = theta[1:h + 1] - base[1:h + 1], slice(1, h + 1)
+
+        def state(x):                             # base + (x, -x): exactly odd
+            out = base.copy()
+            out[1:h + 1] += x
+            out[M - 1:M - h - 1:-1] -= x
+            return out
+
     F = rhs(theta, spec, weights)
     res = np.max(np.abs(F))
     halvings, rcond = 0, None
@@ -1005,7 +1141,7 @@ def newton_equilibrium(theta_init, spec, weights):
                                      halvings=halvings, rcond=rcond)
         if iteration == NEWTON_MAX_ITER:
             break
-        solve, rcond = _pinned_solver(theta, spec, weights, band)
+        solve, rcond = factor(theta)
         if rcond < _RCOND_LIMIT:
             raise NearSymmetryDegenerateError(
                 f"Jacobian reciprocal condition {rcond:.2e} at residual {res:.2e}: "
@@ -1013,15 +1149,15 @@ def newton_equilibrium(theta_init, spec, weights):
                 "pattern phase",
                 rcond=rcond, residual=float(res),
             )
-        delta = solve(-F[1:])
+        delta = solve(-F[rows])
         step = 1.0
         for _ in range(30):
-            trial = theta.copy()
-            trial[1:] += step * delta
+            x_trial = x + step * delta
+            trial = state(x_trial)
             F_new = rhs(trial, spec, weights)
             new_res = np.max(np.abs(F_new))
             if new_res < res:
-                theta, res, F = trial, new_res, F_new
+                theta, x, res, F = trial, x_trial, new_res, F_new
                 break
             step *= 0.5
             halvings += 1

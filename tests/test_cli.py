@@ -284,6 +284,23 @@ def test_branch_makes_no_eigensolve(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_branch_fig5_solves_on_the_odd_band(tmp_path, caplog):
+    # fig5's start is the twisted state plus an odd profile, and its ring is
+    # narrow pairwise: Newton factors the odd block, a band of half-width p = 66
+    import logging
+
+    with caplog.at_level(logging.DEBUG, logger="twistlab"):
+        code, out = run(["branch", "--preset", "fig5"], tmp_path, "f5")
+    assert code == 0
+    res = json.loads((out / "branch.json").read_text())["results"]
+    assert res["newton_residual"] < 1e-12
+    newton = [r.getMessage() for r in caplog.records
+              if r.name == "twistlab" and r.getMessage().startswith("newton_equilibrium")]
+    assert len(newton) == 1
+    assert newton[0].startswith(f"newton_equilibrium: odd band, half-bandwidth 66, "
+                                f"{res['newton_iterations']} iterations, ")
+
+
 def test_package_import_sets_the_openblas_environment_fallback():
     # the environment default is the one-thread pin only for an OpenBLAS
     # that exports no thread setter and loads after the import; it leaves a

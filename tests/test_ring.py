@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -1115,9 +1116,12 @@ def test_follow_branch_rows_stay_on_the_branch():
 
 
 def test_newton_raises_near_symmetry_degenerate_on_the_shift_family():
-    # the s = -1e-3 row of `branch --error-scaling` at M=400, started from z2:
-    # the iteration falls onto the ring-shift family and its LU goes singular
+    # the s = -1e-3 row of `branch --error-scaling` at M=400, from z2 shifted by
+    # one site, so not reflection-odd about site 0: the iteration on all M - 1
+    # unknowns falls onto the ring-shift family and its LU goes singular
     theta0, spec, w = _branch_start(5, 400, -1e-3, 2)
+    theta0 = symmetry_shift(theta0, 1)
+    assert ring._odd_base(theta0) is None
     with pytest.raises(NearSymmetryDegenerateError,
                        match=r"reciprocal condition .* at residual ") as info:
         newton_equilibrium(theta0, spec, w)
@@ -1125,6 +1129,124 @@ def test_newton_raises_near_symmetry_degenerate_on_the_shift_family():
     assert 0.0 < err.rcond < ring._RCOND_LIMIT
     assert ring.NEWTON_TOL <= err.residual < np.max(np.abs(rhs(theta0, spec, w)))
     assert f"{err.rcond:.2e}" in str(err) and f"{err.residual:.2e}" in str(err)
+
+
+def test_newton_converges_from_the_odd_start_of_the_shift_family_case():
+    # the unshifted z2 start is reflection-odd: on its h unknowns the ring-shift
+    # direction is absent and the odd block stays well conditioned
+    theta0, spec, w = _branch_start(5, 400, -1e-3, 2)
+    base = ring._odd_base(theta0)
+    assert base is not None
+    eq = newton_equilibrium(theta0, spec, w)
+    assert eq.residual_norm < ring.NEWTON_TOL and eq.rcond > 1e3 * ring._RCOND_LIMIT
+    assert np.max(np.abs(eq.theta - base)) > 1e-2          # on the branch
+    assert ring._odd_base(eq.theta) is not None
+
+
+def test_follow_branch_converges_past_the_expansion():
+    # every row to s = -3e-3 at (q, M) = (5, 120); on all M - 1 unknowns the
+    # last row raised NearSymmetryDegenerateError at residual 1.24e-12
+    q, M = 5, 120
+    s_values = [-1e-5, -3e-5, -1e-4, -3e-4, -1e-3, -3e-3]
+    _, rows = ring.follow_branch(_attractive_curve(q), M, s_values)
+    base = twisted_state(M, q)
+    for row in rows:
+        eq = row.equilibrium
+        assert eq.residual_norm < ring.NEWTON_TOL, row.s
+        assert np.max(np.abs(eq.theta - base)) > row.a_app / 2, row.s
+        delta = eq.theta - base
+        even = np.max(np.abs(delta[1:] + delta[:0:-1]))
+        assert even <= 4 * np.finfo(float).eps * np.max(np.abs(eq.theta)), row.s
+
+
+def _odd_state(M, q, amplitude, seed):
+    """``twisted_state(M, q)`` plus a seeded reflection-odd deviation, exactly odd."""
+    x = np.random.default_rng(seed).uniform(-amplitude, amplitude, (M - 1) // 2)
+    theta = twisted_state(M, q)
+    theta[1:len(x) + 1] += x
+    theta[M - 1:M - len(x) - 1:-1] -= x
+    return theta
+
+
+def _reflect(theta):
+    """The ring reflection ``theta_k -> -theta_{-k}``."""
+    return -theta[(-np.arange(len(theta))) % len(theta)]
+
+
+@pytest.mark.parametrize("M", [63, 64])
+def test_rhs_and_jacobian_are_reflection_equivariant(M):
+    p = Params(0.19, 0.5, -0.4)
+    w = build_weights(M, p.r)
+    theta = _random_state(M, M, scale=3.0)
+    k = (-np.arange(M)) % M
+    subsets = [s for n in (1, 2, 3) for s in itertools.combinations(_ALL_ORDERS, n)]
+    for orders in subsets:
+        signs = ("attractive", "repulsive") if orders == ("pairwise",) else ("attractive",)
+        for sign in signs:
+            spec = SystemSpec(p, sign=sign, include_orders=orders)
+            for pinned in (True, False):
+                f = ring._rhs_fft(theta, spec, w, pinned)
+                assert np.max(np.abs(ring._rhs_fft(_reflect(theta), spec, w, pinned) + f[k])) \
+                    <= 1e-13 * np.max(np.abs(f)), (orders, sign, pinned)
+            A = ring._unpinned_jacobian(theta, spec, w)
+            A_r = ring._unpinned_jacobian(_reflect(theta), spec, w)
+            assert np.max(np.abs(A_r - A[np.ix_(k, k)])) <= 1e-13 * np.max(np.abs(A)), (orders,
+                                                                                       sign)
+
+
+def _folded(theta, spec, w):
+    """The odd block as the column fold ``J[i, j] - J[i, M - j]`` of the dense Jacobian."""
+    M, h = w.M, (w.M - 1) // 2
+    J = jacobian(theta, spec, w)
+    return J[1:h + 1, 1:h + 1] - J[1:h + 1, M - 1:M - h - 1:-1]
+
+
+def test_odd_block_band_and_dense_match_the_folded_jacobian():
+    from scipy.linalg import lu_factor
+    from scipy.linalg.lapack import dgecon
+
+    for M in (120, 121, 401):
+        r = 0.1234                                # r M = 14.808, 14.93, 49.48: a fractional edge
+        h = (M - 1) // 2
+        for sign in ("attractive", "repulsive"):
+            spec, w = SystemSpec(Params(r), sign=sign), build_weights(M, r)
+            band = ring._odd_band(spec, w)
+            assert band is not None and w.b[w.b != 0.0].min() < 1.0
+            p, fill = band
+            for theta in (_odd_state(M, 5, 0.3, seed=M), _branch_start(5, M, -1e-4, 1)[0]):
+                O = _folded(theta, spec, w)
+                ab = fill(theta)
+                assert not ab[:p].any()
+                dense = np.zeros((h, h))
+                for i in range(h):
+                    for j in range(max(0, i - p), min(h, i + p + 1)):
+                        dense[i, j] = ab[2 * p + i - j, j]
+                assert np.max(np.abs(dense - O)) <= 1e-15, (M, sign)    # off the band too
+                b = np.random.default_rng(M).standard_normal(h)
+                x = np.linalg.solve(O, b)
+                expected = dgecon(lu_factor(O)[0], np.linalg.norm(O, 1), norm="1")[0]
+                for band_or_none in (band, None):
+                    solve, rcond = ring._odd_solver(theta, spec, w, band_or_none)
+                    assert np.max(np.abs(solve(b) - x)) <= 1e-9 * np.max(np.abs(x)), (M, sign)
+                    assert rcond == pytest.approx(expected, rel=1e-2), (M, sign)
+    # the odd band is taken on exactly the rings where LSODA takes its band
+    for M in (12, 13, 40, 41, 120):
+        for r in (0.05, 0.1, 0.12, 0.2, 0.24, 0.26, 0.5):
+            for p in (Params(r), Params(r, 0.3, 0.0), Params(r, 0.0, 0.2)):
+                spec, w = SystemSpec(p), build_weights(M, r)
+                assert ((ring._odd_band(spec, w) is None)
+                        == (ring._band_jacobian(spec, w) is None)), (M, r, p)
+    # the block is the Jacobian of the field restricted to odd deviations
+    M, h = 60, 29
+    spec, w = SystemSpec(Params(0.1, 0.3, 0.2)), build_weights(M, 0.1)
+    theta = _odd_state(M, 2, 0.3, seed=1)
+    eps = 1e-6
+    columns = []
+    for j in range(h):
+        e = np.zeros(M)
+        e[1 + j], e[M - 1 - j] = eps, -eps
+        columns.append((rhs(theta + e, spec, w) - rhs(theta - e, spec, w))[1:h + 1] / (2 * eps))
+    assert np.max(np.abs(np.array(columns).T - _folded(theta, spec, w))) < 1e-8
 
 
 def test_newton_convergence_error_carries_iterations_and_residual(monkeypatch):
@@ -1166,14 +1288,19 @@ def test_newton_takes_the_band_exactly_for_narrow_pairwise_rings(monkeypatch, ca
              (Params(0.45), "dense"),                         # a wide pairwise ring
              (Params(0.1, 0.3, 0.0), "dense"),
              (Params(0.1, 0.0, 0.2), "dense")]
-    for p, path in cases:
+    # the same specs from a reflection-odd start solve on the odd unknowns
+    odd = [(p, "odd band, half-bandwidth 6" if path.startswith("band") else "odd dense")
+           for p, path in cases]
+    for p, path in cases + odd:
         dense.clear()
         w = build_weights(M, p.r)
+        start = (_odd_state(M, q, 1e-3, seed=1) if path.startswith("odd")
+                 else perturb(twisted_state(M, q), 1e-3, seed=1))
         with caplog.at_level(logging.DEBUG, logger="twistlab"):
             caplog.clear()
-            eq = newton_equilibrium(perturb(twisted_state(M, q), 1e-3, seed=1), SystemSpec(p), w)
+            eq = newton_equilibrium(start, SystemSpec(p), w)
         assert eq.residual_norm < ring.NEWTON_TOL and eq.iterations > 0
-        assert len(dense) == (0 if path.startswith("band") else eq.iterations), p
+        assert len(dense) == (0 if "band" in path else eq.iterations), p
         assert 0.0 < eq.rcond <= 1.0 and eq.halvings >= 0
         assert [r.getMessage() for r in caplog.records if r.name == "twistlab"] == [
             f"newton_equilibrium: {path}, {eq.iterations} iterations, {eq.halvings} halvings, "
