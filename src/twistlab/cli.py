@@ -8,6 +8,7 @@ and with it scipy, is imported only inside the commands that use it.
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -64,6 +65,21 @@ def _fmt(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return str(x)
+
+
+def _rows(*columns):
+    """CSV rows of equal-length numeric columns, each entry as ``_fmt`` writes it."""
+    # tolist() gives Python floats and ints, whose repr is _fmt's text at a fraction of its cost
+    return [list(row) for row in zip(*(map(repr, np.asarray(c).tolist()) for c in columns))]
+
+
+def _grid_rows(x, y, values):
+    """CSV rows ``x_i, y_j, values[i, j]`` with ``x`` outer, as :func:`_rows` writes them.
+
+    Each axis value is formatted once, not once per row it heads.
+    """
+    points = itertools.product(*(map(repr, np.asarray(a).tolist()) for a in (x, y)))
+    return [[a, b, v] for (a, b), v in zip(points, map(repr, np.ravel(values).tolist()))]
 
 
 def _parse_range(text):
@@ -323,11 +339,8 @@ def _run_spectrum(cfg):
     if p.get("preset") == "fig2":
         q = p["q"]
         r_values = np.round(np.arange(0.005, 0.2 + 1e-12, 5e-4), 10)
-        k_values = list(range(1, 31))
-        rows = []
-        for r in r_values:
-            vals = kernel.c1(q, np.arange(1, 31), Params(float(r)))
-            rows.extend([[_fmt(r), str(k), _fmt(v)] for k, v in zip(k_values, vals)])
+        values, _ = spectrum._grid_c1(q, 30, r_values)  # row i: c1(q, 1..30, r_i)
+        rows = _grid_rows(r_values, np.arange(1, 31), values)
         r0a = spectrum.threshold(q, spectrum.ATTRACTIVE_R0)
         r0r = spectrum.threshold(q, spectrum.REPULSIVE_R0)
         results = {"q": q, "r0_attractive": r0a, "r0_repulsive": r0r,
@@ -346,7 +359,7 @@ def _run_spectrum(cfg):
             raise ValueError(f"--kmax must be 'auto' or a positive integer, got {kmax}")
         ks = np.arange(1, kmax + 1)
         values = kernel.c1(q, ks, params)
-    rows = [[str(int(k)), _fmt(v)] for k, v in zip(ks, values)]
+    rows = _rows(ks, values)
     results = {
         "q": q, "r": params.r, "lambda": params.lam, "mu": params.mu,
         "sup_value": rep.sup_value,
@@ -502,9 +515,8 @@ def _run_branch(cfg):
             prov.append([name, "fig5"])
 
     psi = 2.0 * math.pi * q * z1.x
-    profile_rows = [[_fmt(x), _fmt(a), _fmt(b), _fmt(c)]
-                    for x, a, b, c in zip(z1.x, psi, z1.values, z2.values)]
-    csvs = {"branch": ("x,psi_q,z1,z2", profile_rows), "equilibrium": _state_csv(eq.theta)}
+    csvs = {"branch": ("x,psi_q,z1,z2", _rows(z1.x, psi, z1.values, z2.values)),
+            "equilibrium": _state_csv(eq.theta)}
 
     if p.get("error_scaling"):
         s_values = [-1e-5, -3e-5, -1e-4, -3e-4, -1e-3]
@@ -627,9 +639,7 @@ def _run_stability_map(cfg):
     r_lo, r_hi, n_r = _parse_range(p["r"])
     l_lo, l_hi, n_l = _parse_range(p["lam"])
     smap = bifurcation.stability_map(p["q"], (r_lo, r_hi), (l_lo, l_hi), (n_r, n_l), tol=p["tol"])
-    grid_rows = [[_fmt(r), _fmt(lam), _fmt(v)]
-                 for r, row in zip(smap.r_values, smap.max_eigenvalue)
-                 for lam, v in zip(smap.lambda_values, row)]
+    grid_rows = _grid_rows(smap.r_values, smap.lambda_values, smap.max_eigenvalue)
     boundary_rows = [[_fmt(b.r), _fmt(b.lam), str(b.ell), b.criticality, _fmt(b.gamma1),
                       _fmt(b.gamma2)] for b in smap.boundary]
     results = {"q": smap.q, "n_r": n_r, "n_lambda": n_l,
@@ -646,7 +656,7 @@ def _run_iota(cfg):
     p = cfg.parameters
     u = np.linspace(p["lo"], p["hi"], p["steps"])
     vals = kernel.iota(u)
-    rows = [[_fmt(a), _fmt(b)] for a, b in zip(u, vals)]
+    rows = _rows(u, vals)
     u0 = kernel.upsilon0()
     above = vals[u >= u0]
     results = {"from": p["lo"], "to": p["hi"], "steps": p["steps"],

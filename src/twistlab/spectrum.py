@@ -8,7 +8,11 @@ first ``K`` modes, with ``K`` doubling from ``max(4q, 64)`` up to
 a roundoff margin) shows that the unlisted modes cannot change the result.
 Listed values do not depend on ``K``, so every result equals the one the
 full ``mode_cutoff`` list gives, bit for bit. Threshold radii are located by
-a coarse scan followed by bracketed root refinement.
+a coarse scan followed by bracketed root refinement. A scan lists the first
+``max(4q, 64)`` modes at every grid radius from one ``w_hat`` table over
+radii x modes, in blocks of radii under a fixed element budget, and stops at
+the block that holds its answer; the few radii that first listing leaves
+undecided take the per-radius doubling above.
 """
 
 import math
@@ -35,6 +39,10 @@ _REFINE_XTOL = 1e-12
 #: Added to ``truncation_bound`` when it decides a test: computed ``c1``
 #: values of order one carry a few ulps of rounding error.
 _ROUNDOFF = 1e-12
+
+#: Entries of the ``w_hat`` table per block of a radius-grid listing (2 MiB of float64).
+_BLOCK_ELEMS = 1 << 18
+_FIRST_BLOCK = 16  # radii in the first block; each later block doubles up to the budget
 
 
 @dataclass(frozen=True)
@@ -190,15 +198,81 @@ def kappa(q, ell, p, tol=1e-6):
     return max(float(_max_except(values, ell)), tail)
 
 
-def _scan_first_sign_change(f, r_grid):
-    """First index i with sign(f(r_i)) flipping from <=0 to >0; None if f never goes positive."""
-    prev = f(r_grid[0])
-    for i in range(1, len(r_grid)):
-        cur = f(r_grid[i])
-        if prev <= 0.0 < cur:
-            return i
-        prev = cur
-    return None
+def _grid_c1(q, K, radii):
+    """``(values, tails)``: ``c1(q, 1..K, r)`` and the tail ``kernel.tail_limit`` at each radius.
+
+    At ``lam = mu = 0``, row ``i`` of ``values`` equals ``kernel.c1(q,
+    np.arange(1, K + 1), Params(radii[i]))`` bit for bit: one table of
+    ``w_hat`` over radii x modes ``0..|q| + K``, read at ``|j|`` as ``c1``
+    reads its own, with the same arithmetic.
+    """
+    table = kernel.w_hat(np.asarray(radii, dtype=float)[:, None], np.arange(abs(q) + K + 1))
+    W = lambda j: table[:, np.abs(np.atleast_1d(j))]
+    values = kernel._twisted_c1(W, q, np.arange(1, K + 1), 0.0, 0.0)
+    return values, 0.25 * table[:, abs(q)] * -2.0
+
+
+def _sweep(q, grid, decide, fallback):
+    """Per-radius results over ``grid`` at ``lam = mu = 0``, block by block.
+
+    Each block of radii lists ``K = max(4q, 64)`` modes through
+    :func:`_grid_c1`. Blocks start at ``_FIRST_BLOCK`` radii and double up
+    to ``_BLOCK_ELEMS`` table entries, so a scan that ends near its first
+    radii lists few more. ``decide(q, values, tails, band)`` returns each row's
+    result and whether that listing settles it, with ``band`` the truncation
+    bound of ``K`` modes plus ``_ROUNDOFF``. An unsettled row takes
+    ``fallback(q, r)``, the per-radius test that doubles its listing. Yields
+    the results of ``grid[:n]`` as ``n`` grows, so a caller stops at the block
+    that holds its answer.
+    """
+    K = max(4 * q, 64)
+    band = truncation_bound(q, K) + _ROUNDOFF
+    cap = max(1, _BLOCK_ELEMS // (q + K + 1))
+    done, start, rows = [], 0, min(_FIRST_BLOCK, cap)
+    while start < len(grid):
+        radii = grid[start:start + rows]
+        result, settled = decide(q, *_grid_c1(q, K, radii), band)
+        for i in np.nonzero(~settled)[0]:
+            result[i] = fallback(q, float(radii[i]))
+        done.append(result)
+        yield np.concatenate(done)
+        start, rows = start + rows, min(2 * rows, cap)
+
+
+def _lowest_sign(q, r):
+    """A value with the sign of the infimum of ``c1(q, k, r)`` over all modes."""
+    # settled once the listed value is not positive or the whole tail band is
+    p = Params(r, 0.0, 0.0)
+    tail = kernel.tail_limit(q, p)
+    values = _listed_c1(q, p, lambda v, band: min(v.min(), tail) <= 0.0 or tail > band,
+                        mode_cutoff(q, 1e-6))
+    return min(float(values.min()), tail)
+
+
+def _lowest_rows(q, values, tails, band):
+    """:func:`_lowest_sign` of every listed row, and which rows the listing settles."""
+    lowest = np.minimum(values.min(axis=1), tails)
+    return lowest, (lowest <= 0.0) | (tails > band)
+
+
+def _leading_is_twist(q, r):
+    """Whether the twist mode ``k = q`` leads every mode of ``c1(q, k, r)``."""
+    p = Params(r, 0.0, 0.0)
+    tail = kernel.tail_limit(q, p)
+    leads = lambda v: v[q - 1] >= max(_max_except(v, q), tail)
+    # settled once the twist mode trails a listed value, or clears the tail band
+    values = _listed_c1(q, p, lambda v, band: not leads(v) or v[q - 1] > tail + band,
+                        mode_cutoff(q, 1e-6))
+    return leads(values)
+
+
+def _leading_rows(q, values, tails, band):
+    """:func:`_leading_is_twist` of every listed row, and which rows the listing settles."""
+    twist = values[:, q - 1]
+    others = np.maximum(values[:, :q - 1].max(axis=1, initial=-np.inf),
+                        values[:, q:].max(axis=1, initial=-np.inf))
+    leads = twist >= np.maximum(others, tails)
+    return leads, ~leads | (twist > tails + band)
 
 
 def threshold(q, kind):
@@ -211,10 +285,14 @@ def threshold(q, kind):
     ``r_star``: radius past which the leading mode is the twist mode itself,
     estimated by a downward grid scan with bracket refinement.
 
-    The repulsive and ``r_star`` tests over all modes list ``max(4q, 64)``
-    modes, doubling until the truncation bound settles each test (a sign or
-    comparison on the grid, the exact infimum in the refinement), up to
-    ``mode_cutoff(q, 1e-6)`` modes; every result equals the full-list one.
+    The repulsive and ``r_star`` scans list ``max(4q, 64)`` modes at every
+    grid radius from one ``w_hat`` table per block of radii (:func:`_sweep`),
+    and stop at the block that holds the first sign change or the first
+    radius where the twist mode trails. A radius whose test that listing
+    leaves open lists again on its own, doubling up to ``mode_cutoff(q,
+    1e-6)`` modes, as the Brent refinement of the repulsive edge and the
+    ``r_star`` bisection do at every iterate; every result equals the
+    full-list one.
     """
     if q < 1:
         raise ValueError("twist number q must be a positive integer")
@@ -231,54 +309,38 @@ def threshold(q, kind):
         i = ups[0] + 1
         return kernel._brentq(f, grid[i - 1], grid[i], xtol=_REFINE_XTOL)
 
-    ceiling = mode_cutoff(q, 1e-6)
     if kind == REPULSIVE_R0:
         if q == 1:
             raise NoBifurcationError(
                 "q=1 twisted states never gain stability under sign reversal: no bifurcation"
             )
-
-        def lowest_sign(r):
-            # a value with the sign of the infimum: settled once the listed one
-            # is not positive or the whole tail band is
-            p = Params(r, 0.0, 0.0)
-            tail = kernel.tail_limit(q, p)
-            values = _listed_c1(q, p, lambda v, band: min(v.min(), tail) <= 0.0 or tail > band,
-                                ceiling)
-            return min(float(values.min()), tail)
-
         grid = np.arange(_SCAN_STEP, 0.5 + _SCAN_STEP / 2, _SCAN_STEP)
-        i = _scan_first_sign_change(lowest_sign, grid)
-        if i is None:
-            raise NoThresholdError(f"no radius window with all-positive eigenvalues for q={q}")
-        lowest = lambda r: certified_extreme(q, Params(r, 0.0, 0.0), lowest=True)[0]
-        return kernel._brentq(lowest, grid[i - 1], grid[i], xtol=_REFINE_XTOL)
+        for lowest in _sweep(q, grid, _lowest_rows, _lowest_sign):
+            ups = np.nonzero((lowest[:-1] <= 0.0) & (lowest[1:] > 0.0))[0]
+            if len(ups):
+                i = ups[0] + 1
+                f = lambda r: certified_extreme(q, Params(r, 0.0, 0.0), lowest=True)[0]
+                return kernel._brentq(f, grid[i - 1], grid[i], xtol=_REFINE_XTOL)
+        raise NoThresholdError(f"no radius window with all-positive eigenvalues for q={q}")
 
     if kind == R_STAR:
-
-        def leading_is_twist(r):
-            p = Params(r, 0.0, 0.0)
-            tail = kernel.tail_limit(q, p)
-            leads = lambda v: v[q - 1] >= max(_max_except(v, q), tail)
-            # settled once the twist mode trails a listed value, or clears the tail band
-            values = _listed_c1(q, p, lambda v, band: not leads(v) or v[q - 1] > tail + band,
-                                ceiling)
-            return leads(values)
-
         grid = np.arange(0.5, _SCAN_STEP / 2, -_SCAN_STEP)
-        if not leading_is_twist(grid[0]):
-            raise NoThresholdError(f"leading mode is not the twist mode even at r=1/2 for q={q}")
-        i = next((i for i in range(1, len(grid)) if not leading_is_twist(grid[i])), None)
-        if i is None:
-            return float(grid[-1])  # numerical estimate: holds on the whole scanned range
-        lo, hi = grid[i], grid[i - 1]
-        while hi - lo > 1e-6:
-            mid = 0.5 * (lo + hi)
-            if leading_is_twist(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        for leads in _sweep(q, grid, _leading_rows, _leading_is_twist):
+            if not leads[0]:
+                raise NoThresholdError(
+                    f"leading mode is not the twist mode even at r=1/2 for q={q}")
+            trails = np.nonzero(~leads)[0]
+            if len(trails):
+                i = trails[0]
+                lo, hi = grid[i], grid[i - 1]
+                while hi - lo > 1e-6:
+                    mid = 0.5 * (lo + hi)
+                    if _leading_is_twist(q, mid):
+                        hi = mid
+                    else:
+                        lo = mid
+                return hi
+        return float(grid[-1])  # numerical estimate: holds on the whole scanned range
 
     raise ValueError(f"unknown threshold kind {kind!r}; expected one of {THRESHOLD_KINDS}")
 

@@ -396,6 +396,10 @@ scipy_loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scip
 out = sys.argv[1]
 assert cli.main(["thresholds", "--q", "5", "--kind", "attractive", "--out", out + "/a"]) == 0
 assert cli.main(["gamma", "--preset", "fig3a", "--out", out + "/b"]) == 0
+assert cli.main(["spectrum", "--preset", "fig2", "--out", out + "/g"]) == 0
+assert cli.main(["gamma", "--preset", "fig3b", "--q-max", "4", "--out", out + "/h"]) == 0
+assert cli.main(["thresholds", "--q", "5", "--kind", "r-star", "--out", out + "/i"]) == 0
+assert cli.main(["stability-map", "--preset", "fig4", "--out", out + "/j"]) == 0
 assert scipy_loaded() == [], scipy_loaded()[:5]
 from twistlab import SystemSpec, integrate
 assert twistlab.integrate is twistlab.ring.integrate and "integrate" in dir(twistlab)

@@ -67,6 +67,27 @@ GOLDEN = {
         "gamma.csv": "959db8e390164fc307e17ec24e936c6035172f98a2af8f11ad5e3acf60875dd3",
         "results": "2e39ef921e8d3c1578bc0e88dc23fb9dc74ee286c8b43bcc2ef73360f5db159a",
     },
+    "spectrum --q 5 --r 0.118": {
+        "spectrum.csv": "a632c29f2fbb59c9084e5476cd3c6ed8a3b1a4e075d42b37d09091b670bedc40",
+        "results": "ca82429c72d701546b69ee47c13c3ef11bdbb0cb21b16573494e2bfe0b74c7af",
+    },
+    # r0 0.27756255557697573: the scan stops in its fifth block of radii, short
+    # of the two near 1/2 that its first listing leaves open
+    "thresholds --q 2 --kind repulsive": {
+        "thresholds.csv": "8fe6c44868c4d117751717992421a2596dcd9e3c1fe759dccd917de288c23d1a",
+        "results": "18fc244fa317921d07d2fffbbcf92530b8306ecf10a22216ccf752e59c884b08",
+    },
+    # r* 0.0009999999999995568: the twist mode leads on the whole scanned
+    # range, and its last two radii take the per-radius listing
+    "thresholds --q 1 --kind r-star": {
+        "thresholds.csv": "73aea37bd6ff34797a9b6ccb6f73dd89fb0c34d6297a01134f5be2a02e8687c4",
+        "results": "5710eeaf08759053c068715945346c7b6bcc8ec83bac25a9acacdea4884cf9a7",
+    },
+    # r* 0.06838378906249962
+    "thresholds --q 12 --kind r-star": {
+        "thresholds.csv": "e825d2c77473c1494379fe9412ea52158d272bebcfdb583c4c14f2c70e48c6b4",
+        "results": "46bd1745e0dccf25b43852b539fa79974613060ecf9fca24f7b9a4ee2890eac4",
+    },
 }
 
 

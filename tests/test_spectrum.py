@@ -286,6 +286,58 @@ def test_thresholds_equal_full_list_values(kind):
         assert float(threshold(q, kind)).hex() == expected, (kind, q)
 
 
+def test_thresholds_do_not_depend_on_the_block_size(monkeypatch):
+    # one radius per block: every sign change and trailing radius straddles
+    # a block boundary
+    monkeypatch.setattr(spectrum, "_BLOCK_ELEMS", 1)
+    for kind in (spectrum.REPULSIVE_R0, spectrum.R_STAR):
+        for q in (2, 5, 13):
+            assert float(threshold(q, kind)).hex() == _GOLDEN_THRESHOLDS[kind][q], (kind, q)
+
+
+def _scan_grids():
+    """The repulsive scan's radii (upward) and the r_star scan's (downward)."""
+    step = spectrum._SCAN_STEP
+    return np.arange(step, 0.5 + step / 2, step), np.arange(0.5, step / 2, -step)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 30, 50])
+def test_grid_listing_equals_per_radius_c1_bit_for_bit(q):
+    K = max(4 * q, 64)
+    for grid in _scan_grids():
+        values, tails = spectrum._grid_c1(q, K, grid)
+        for r, row, tail in zip(grid, values, tails):
+            p = Params(float(r))
+            assert row.tobytes() == kernel.c1(q, np.arange(1, K + 1), p).tobytes(), (q, r)
+            assert float(tail).hex() == kernel.tail_limit(q, p).hex(), (q, r)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 30, 50])
+def test_sweeps_decide_every_radius_as_the_per_radius_tests(q):
+    up, down = _scan_grids()
+    fallbacks = {"repulsive": [], "r_star": []}
+
+    def counted(name, test):
+        def fallback(q, r):
+            fallbacks[name].append(r)
+            return test(q, r)
+        return fallback
+
+    if q > 1:
+        *_, lowest = spectrum._sweep(q, up, spectrum._lowest_rows,
+                                     counted("repulsive", spectrum._lowest_sign))
+        assert np.array_equal(lowest, [spectrum._lowest_sign(q, r) for r in up])
+    *_, leads = spectrum._sweep(q, down, spectrum._leading_rows,
+                                counted("r_star", spectrum._leading_is_twist))
+    assert leads.tolist() == [spectrum._leading_is_twist(q, r) for r in down]
+    # near r = 1/2 (repulsive, even q) and near r = 0 (q = 1, r_star) the
+    # first listing leaves the test open
+    if q == 2:
+        assert len(fallbacks["repulsive"]) == 2
+    if q == 1:
+        assert len(fallbacks["r_star"]) == 2
+
+
 def _full_list_kappa(q, ell, p, tol=1e-6):
     values = kernel.c1(q, np.arange(1, max(mode_cutoff(q, tol), ell + 1) + 1), p)
     values[ell - 1] = -np.inf
