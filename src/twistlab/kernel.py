@@ -6,7 +6,10 @@ on the ring, the linearization eigenvalue sequence ``c1`` around a twisted
 state, the higher derivative coefficients ``c2..c6``, and the structural
 functions (``lambda0``, ``big_H``, ``iota``, ``cap_X``) used to place and
 reshape the bifurcation. Each closed form is one numpy expression that
-broadcasts over arrays of modes or radii. All functions are thread-safe.
+broadcasts over arrays of modes or radii; at one integer mode and one float
+radius, ``w_hat``, ``w_hat_r_deriv`` and ``c1`` run its operations in order on
+Python numbers (with numpy's ``sin`` and ``cos``), so they return the bits of
+the array entry without a 0-d array pass. All functions are thread-safe.
 """
 
 import math
@@ -37,14 +40,22 @@ class Params:
             raise ValueError(f"coupling range must satisfy 0 < r <= 1/2, got r={self.r}")
 
 
+def _one_point(r, k):
+    """Whether ``(r, k)`` is one integer mode at one radius of at most double precision."""
+    return isinstance(k, (int, np.integer)) and isinstance(r, (float, np.float32, np.float16))
+
+
 def w_hat(r, k):
     """Cosine-series coefficient of the indicator kernel at integer mode ``k``.
 
     ``4r`` at ``k = 0`` and ``2 sin(2 pi k r) / (pi k)`` otherwise; even in
     ``k``. ``r`` and ``k`` are scalars or arrays and broadcast against each
     other, so one call sweeps a mode list at one radius or one mode over
-    many radii.
+    many radii. One integer ``k`` at one float ``r`` returns a Python float.
     """
+    if _one_point(r, k):
+        k, r = int(k), float(r)
+        return 4.0 * r if k == 0 else 2.0 * float(np.sin(TWO_PI * k * r)) / (math.pi * k)
     k = np.asarray(k)
     with np.errstate(invalid="ignore"):  # 0 / 0 at k = 0, replaced by 4r
         out = np.where(k == 0, 4.0 * r, 2.0 * np.sin(TWO_PI * k * r) / (math.pi * k))
@@ -53,6 +64,8 @@ def w_hat(r, k):
 
 def w_hat_r_deriv(r, k):
     """Derivative of ``w_hat`` with respect to ``r``: ``4 cos(2 pi k r)`` for every mode."""
+    if _one_point(r, k):
+        return 4.0 * float(np.cos(TWO_PI * int(k) * float(r)))
     out = 4.0 * np.cos(TWO_PI * np.asarray(k) * r)
     return float(out) if out.ndim == 0 else out
 
@@ -61,10 +74,12 @@ def c1(q, k, p):
     """Linearization eigenvalue at mode ``k`` around a ``q``-twisted state.
 
     Each value is an eigenvalue of multiplicity two of the phase-difference
-    linearization. Vectorized over ``k``.
+    linearization. Vectorized over ``k``; one integer ``k`` returns a float.
     """
-    k = np.asarray(k)
     W = lambda j: w_hat(p.r, j)
+    if _one_point(p.r, k):
+        return float(_twisted_c1(W, q, k, p.lam, p.mu))
+    k = np.asarray(k)
     n = abs(q) + int(np.abs(k).max(initial=0)) + 1
     if k.dtype.kind == "i" and n <= 2 * k.size + 1:
         # w_hat is even, so for a dense mode list one table of w_hat(r, 0..n-1)

@@ -88,6 +88,32 @@ GOLDEN = {
         "thresholds.csv": "e825d2c77473c1494379fe9412ea52158d272bebcfdb583c4c14f2c70e48c6b4",
         "results": "46bd1745e0dccf25b43852b539fa79974613060ecf9fca24f7b9a4ee2890eac4",
     },
+    # r0 0.3404614171300564: Brent refines on c1(1, 1, .), where q + |k| <= 2
+    "thresholds --q 1 --kind attractive": {
+        "thresholds.csv": "756f3b8aa7699d2c668b1d9ecaccee4e7503694a254983b8e879e77412a28b21",
+        "results": "c4670c341fae1159ad1a91cedf5e6f425d878b765e45786f6f6417b93cca1608",
+    },
+    # one value each from the kernel closed forms at a single point
+    "kernel --name c1 --q 1 --k 1 --r 0.3": {
+        "kernel.csv": "710eb65479b916f762b3c815aae4f34422c2fa3740016564754554cc400f9350",
+        "results": "8ccd2e46d741ee50d327e5db797d1e1d3be2aaea90b73b004aa8794927a413be",
+    },
+    "kernel --name c1 --q -3 --k 2 --r 0.21 --lambda=0.3 --mu=-0.2": {
+        "kernel.csv": "b0263396b44fe0e3de675b2238c8206d5605d62d2800d6e3034da1b36a3bb47c",
+        "results": "7b73be3ba9b12fc1e255983ac55abda006d88bdc5244b260c14b6b1ceafdab72",
+    },
+    "kernel --name w-hat --r 0.3 --k -7": {
+        "kernel.csv": "b9aa52b7f73701b93f21e2ab2baf1766a576ecb93fca84689834342c1c9cf9a4",
+        "results": "62d536c6bbe366b90028f9fa217103812d236200ab4fb91f22c48950ced1d157",
+    },
+    "kernel --name c5 --q 5 --k 1 --r 0.0663 --lambda=0.1": {
+        "kernel.csv": "a563150aa75b3f1fec084c9851c1c4dbf8f96afa50fb223381c3388844983be9",
+        "results": "72686babef8f330d5bfedc8fc65b85982498e1c1cb7c87b8c12937622781516f",
+    },
+    "kernel --name big-h --q 8 --r 0.3": {
+        "kernel.csv": "d5fe179413f7afaaee686929ff72bf80315552877b7b79166e5eabe7c1c4f7cb",
+        "results": "68081b16df1ab6c4539aea70261380be7cb3438c2db33fafe4b72b1f06ca081a",
+    },
 }
 
 

@@ -54,13 +54,15 @@ def test_w_hat_scaling_identity():
             assert w_hat(r, k) == pytest.approx(f(k * r) / k, abs=1e-15)
 
 
-def test_w_hat_broadcasts_r_against_k_bitwise():
+def _assert_broadcasts_r_against_k_bitwise(fn):
     # scalar or array r against scalar or array k, k = 0 and negative k
-    # included: every entry carries the bits of the scalar call
+    # included: every entry carries the bits of the scalar call, which is a
+    # Python float for Python and NumPy scalar types alike and equals the
+    # 0-d array call
     rng = np.random.default_rng(5)
     radii = rng.uniform(1e-4, 0.5, 6)
     ks = np.array([-7, -1, 0, 1, 3, 40])
-    scalar = np.array([[w_hat(float(r), int(k)) for k in ks] for r in radii])
+    scalar = np.array([[fn(float(r), int(k)) for k in ks] for r in radii])
     cases = [
         (radii[:, None], ks, scalar),
         (radii, 0, scalar[:, 2]),
@@ -68,10 +70,30 @@ def test_w_hat_broadcasts_r_against_k_bitwise():
         (float(radii[1]), ks, scalar[1]),
     ]
     for r, k, expected in cases:
-        got = w_hat(r, k)
+        got = fn(r, k)
         assert got.shape == expected.shape
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    for r_type in (float, np.float64, np.float32):
+        for k_type in (int, np.int64, np.int32):
+            rs = radii.astype(r_type)
+            grid = fn(rs[:, None], ks.astype(k_type))
+            for i, r in enumerate(rs.tolist() if r_type is float else rs):
+                for j, k in enumerate(ks.tolist() if k_type is int else ks.astype(k_type)):
+                    got = fn(r, k)
+                    assert type(got) is float, (r_type, k_type)
+                    zero_d = fn(np.asarray(r), np.asarray(k))
+                    bits = np.array([got, zero_d, grid[i, j]]).view(np.int64)
+                    assert bits[0] == bits[1] == bits[2], (r_type, k_type, r, k)
+
+
+def test_w_hat_broadcasts_r_against_k_bitwise():
+    _assert_broadcasts_r_against_k_bitwise(w_hat)
     assert isinstance(w_hat(0.3, 0), float) and w_hat(0.3, 0) == 4.0 * 0.3
+
+
+def test_w_hat_r_deriv_broadcasts_r_against_k_bitwise():
+    _assert_broadcasts_r_against_k_bitwise(kernel.w_hat_r_deriv)
+    assert kernel.w_hat_r_deriv(0.3, 0) == 4.0
 
 
 def test_mode1_coefficient_dominates():
@@ -91,11 +113,17 @@ def test_c1_trivial_values():
 
 
 def test_c1_vectorized_matches_scalar():
-    p = Params(0.13, 0.2, 0.1)
-    ks = np.arange(1, 20)
-    vec = c1(4, ks, p)
-    for k, v in zip(ks, vec):
-        assert v == pytest.approx(c1(4, int(k), p), abs=1e-15)
+    # bit for bit: a dense list (read from c1's |j| table) and a sparse one
+    # against scalar calls and 0-d calls, k = 0 and q + |k| <= 2 included
+    for q in (-3, 1, 2, 5):
+        for p in (Params(0.13, 0.2, 0.1), Params(0.37, -0.3, 0.25)):
+            for ks in (np.arange(-3, 20), np.array([0, 1, -1, 2, 997])):
+                vec = c1(q, ks, p)
+                for k, v in zip(ks, vec):
+                    scalars = [c1(q, k, p), c1(q, int(k), p)]
+                    assert all(type(s) is float for s in scalars)
+                    bits = np.array([v, *scalars, c1(q, np.asarray(k), p)])
+                    assert len(set(bits.view(np.int64).tolist())) == 1, (q, p, int(k))
 
 
 def test_twisted_c1_over_an_array_of_radii_equals_scalar_c1_bitwise():
