@@ -18,8 +18,8 @@ twist count and M), dense eigenvalues of :func:`jacobian` at any other state.
 That Jacobian has one frame, the state's own M x M with row and column 0
 zero, built only up to ``DENSE_CAP``: it is the unpinned Jacobian
 (:func:`_unpinned_jacobian`) pinned in place, and the dense spectrum and
-Newton off the narrow pairwise rings read its pinned block ``[1:, 1:]``
-(Newton from a reflection-odd start its column fold).
+Newton read its pinned block ``[1:, 1:]`` (Newton from a reflection-odd start
+off the narrow pairwise rings its column fold).
 Ring shifts are :func:`symmetry_shift`, which :func:`best_shift_residual`
 also searches.
 
@@ -47,13 +47,10 @@ the ``(M - 1) // 2`` odd unknowns (:func:`_odd_solver`), whose block lacks
 the ring-shift direction that leaves the full pinned Jacobian nearly
 singular at branch equilibria. For a pairwise ring of short range that
 block is a band of half-width ``p``; every other spec folds the columns of
-:func:`jacobian`. Any other start solves on the ``M - 1`` pinned unknowns:
-for a pairwise ring of short range the pinned Jacobian is ``(I + 1 1^T)``
-times LSODA's band with site 0 dropped, so its steps factor that band
-(:func:`_pinned_solver`); every other spec factors the dense pinned block of
-:func:`jacobian`. Rows on a bifurcating branch come from
-:func:`follow_branch`, which anchors them at the ring's own threshold and
-continues each from the last.
+:func:`jacobian`. Any other start solves on the ``M - 1`` pinned unknowns,
+for every spec with a dense LU of the pinned block of :func:`jacobian`. Rows
+on a bifurcating branch come from :func:`follow_branch`, which anchors them
+at the ring's own threshold and continues each from the last.
 
 This is the one module that needs scipy (LSODA, through ``twistlab._lsoda``,
 and the dense and band LU routines), and it loads each part on first use:
@@ -450,33 +447,47 @@ def jacobian(theta, spec, weights):
     return A
 
 
+def _band_range(spec, weights):
+    """The coupling range ``p`` of a narrow pairwise ring, or None where no band is taken.
+
+    ``p`` is the largest ring distance with a nonzero weight (the fractional
+    edge weight counts). Triplet and quadruplet terms couple distant sites,
+    and a ring with ``4 p + 1 >= M`` has a folded band (half-width ``2 p``)
+    whose packed storage is not below the dense ``M^2``, so it costs more
+    memory than the dense matrix, and takes in weights at the antipode
+    ``p = M / 2``, which a band fill would count twice on the diagonal; both
+    get None. :func:`_band_jacobian` and :func:`_odd_band` both take their
+    range here, so the odd band exists exactly where LSODA's band does.
+    """
+    if spec.include_orders != (PAIRWISE,):
+        return None
+    M = weights.M
+    d = np.arange(M)
+    p = int(np.minimum(d, M - d)[weights.b != 0.0].max())
+    return None if 4 * p + 1 >= M else p
+
+
 def _band_jacobian(spec, weights):
     """LSODA's banded Jacobian of a pairwise ring, or None where the dense one is kept.
 
     For pairwise coupling the unpinned field ``sign G`` has the Jacobian
     ``b_d cos(theta_{k+d} - theta_k) / M`` between sites ``d`` apart, minus
-    the row sums on the diagonal: a circulant band of half-width ``p``, the
-    largest ring distance with a nonzero weight (the fractional edge weight
-    counts). The fold order ``0, M-1, 1, M-2, ...`` turns it into a true band
-    of half-width ``bw = 2 p``. Triplet and quadruplet terms couple distant
-    sites, and a band whose packed storage ``(2 bw + 1) M`` is not below the
-    dense ``M^2`` costs LSODA more memory than the dense matrix and takes in
-    weights at the antipode ``p = M / 2``, which ``fill`` would count twice
-    on the diagonal; both get None.
+    the row sums on the diagonal: a circulant band of half-width ``p``
+    (:func:`_band_range`, None where it is None). The fold order
+    ``0, M-1, 1, M-2, ...`` turns it into a true band of half-width
+    ``bw = 2 p``.
 
     Returns ``(order, pos, bw, fill)``: the folded state is
     ``y = theta[order]``, so ``theta = y[pos]``, and ``fill(y)`` is the
     Jacobian at ``y`` in LAPACK's packed band storage,
     ``packed[bw + i - j, j] = J[i, j]``, built in O(p M).
     """
+    p = _band_range(spec, weights)
+    if p is None:
+        return None
     M, b = weights.M, weights.b
-    if spec.include_orders != (PAIRWISE,):
-        return None
     d = np.arange(M)
-    p = int(np.minimum(d, M - d)[b != 0.0].max())
     bw = 2 * p
-    if 2 * bw + 1 >= M:
-        return None
     order = np.empty(M, dtype=np.intp)
     order[0::2] = d[:(M + 1) // 2]
     order[1::2] = d[:(M - 1) // 2:-1]
@@ -827,8 +838,9 @@ def _etdrk4_steps(theta0, f0, field, spec, weights, t_end, tol):
 
     ``field`` is :func:`integrate`'s counted pinned field and ``f0`` its
     value at ``theta0``. Yields ``(t, theta, f, at)`` per accepted step: the
-    unpinned state, its field and the step's continuous extension until the
-    next step.
+    state, its field and the step's continuous extension until the next
+    step. Every state the field sees or the steps yield is re-pinned, as
+    ``integrate`` returns it, so the stop holds on the state returned.
     """
     M = weights.M
     winding = float(np.sum(wrap_to_pi(np.diff(theta0, append=theta0[0]))))
@@ -842,9 +854,11 @@ def _etdrk4_steps(theta0, f0, field, spec, weights, t_end, tol):
         F -= nu * v
         return F
 
-    def state(v):
-        delta = np.fft.irfft(v, M)
-        return np.add(base, delta, out=delta)
+    def state(v):                                 # pinned, so the stop tests the state returned
+        theta = np.fft.irfft(v, M)
+        theta += base
+        theta -= theta[0]
+        return theta
 
     nonlinear = lambda v: split(field(state(v)), v)
 
@@ -896,7 +910,7 @@ class EquilibriumResult:
     iterations: int
     halvings: int                         # step halvings over all iterations
     # of the last factored block: the odd block on reflection-odd starts, else
-    # the pinned Jacobian; None after 0 iterations
+    # the dense pinned block of jacobian; None after 0 iterations
     rcond: Optional[float]
 
 
@@ -939,57 +953,6 @@ def _lu_solver(J):
     return (lambda b: lu_solve((lu, piv), b)), float(rcond)
 
 
-def _pinned_solver(theta, spec, weights, band):
-    """The pinned Newton system at ``theta``: ``(solve, rcond)``.
-
-    ``solve(b)`` is ``J^-1 b`` for the pinned Jacobian ``J``, the block
-    ``[1:, 1:]`` of :func:`jacobian`, and ``rcond`` its 1-norm reciprocal
-    condition. ``band`` is :func:`_band_jacobian`'s value for the spec. With
-    None, ``J`` is built dense, LU-factored, and ``gecon`` estimates its
-    condition. Otherwise the unpinned Jacobian ``A`` is symmetric with zero
-    row sums, so ``J = A[1:, 1:] - 1 A[0, 1:] = (I + 1 1^T) A11`` with
-    ``A11 = A[1:, 1:]``, which in the fold order is a band of half-width
-    ``bw``: ``J^-1 b = A11^-1 (b - (sum b / M) 1)`` and
-    ``J^-T b = (I - 1 1^T / M) A11^-1 b``. One banded LU (``gbtrf``) in
-    O(bw^2 M) then serves every solve; ``||J||_1`` is summed exactly from
-    the band and ``A[0, 1:]``, and ``||J^-1||_1`` is :func:`_inverse_norm1`,
-    the estimate ``gecon`` makes. Both paths raise
-    :class:`ResourceLimitError` past ``DENSE_CAP``.
-    """
-    if band is None:
-        return _lu_solver(jacobian(theta, spec, weights)[1:, 1:])
-    M = weights.M
-    _check_dense_cap(M, "Newton step")
-    from scipy.linalg.lapack import dgbtrf as gbtrf, dgbtrs as gbtrs
-
-    order, _, bw, fill = band
-    packed = fill(theta[order])[:, 1:]            # A without fold position 0, site 0
-    cols = np.arange(bw)
-    a0 = np.zeros(M - 1)                          # A[0, 1:] in the fold order
-    a0[:bw] = packed[bw - 1 - cols, cols]
-    packed[bw - 1 - cols, cols] = 0.0
-    rows = np.arange(M - 1) + np.arange(-bw, bw + 1)[:, None]
-    inside = (rows >= 0) & (rows < M - 1)
-    norm = np.max(np.sum(np.abs(packed - a0), axis=0, where=inside)
-                  + (M - 1 - np.sum(inside, axis=0)) * np.abs(a0))
-    ab = np.zeros((3 * bw + 1, M - 1))            # gbtrf's room for fill-in above the band
-    ab[bw:] = packed
-    lu, piv, info = gbtrf(ab, bw, bw, overwrite_ab=True)
-    fold = order[1:] - 1                          # pinned index at each fold position
-
-    def solve(b, transpose=False):
-        if not transpose:
-            b = b - np.sum(b) / M
-        x = np.empty(M - 1)
-        x[fold] = gbtrs(lu, bw, bw, b[fold], piv)[0]
-        if transpose:
-            x -= np.sum(x) / M
-        return x
-
-    rcond = 0.0 if info > 0 else 1.0 / (_inverse_norm1(solve, M - 1) * float(norm))
-    return solve, rcond
-
-
 def _odd_base(theta):
     """The twisted state ``tau`` off which ``theta`` deviates by a reflection-odd ``delta``, or None.
 
@@ -1021,18 +984,17 @@ def _odd_band(spec, weights):
     each row's ``2 p`` neighbours ``b_d cos(theta_k - theta_i) / M`` land on
     column ``k``, or with a minus sign on column ``M - k`` in the two corners
     ``i + j <= p`` and ``i + j >= M - p``, and their sum leaves the diagonal;
-    site 0 (pinned) and site ``M / 2`` (fixed) carry no unknown. None exactly
-    where :func:`_band_jacobian` is None. ``fill(theta)`` returns ``O`` in
-    the storage ``gbtrf`` factors in place, ``ab[2 p + i - j, j] = O[i, j]``
-    with ``p`` rows of room above, built in O(p M).
+    site 0 (pinned) and site ``M / 2`` (fixed) carry no unknown. ``p`` is
+    :func:`_band_range`'s, None where it is None. ``fill(theta)`` returns
+    ``O`` in the storage ``gbtrf`` factors in place,
+    ``ab[2 p + i - j, j] = O[i, j]`` with ``p`` rows of room above, built in
+    O(p M).
     """
+    p = _band_range(spec, weights)
+    if p is None:
+        return None
     M, b = weights.M, weights.b
-    if spec.include_orders != (PAIRWISE,):
-        return None
     d = np.arange(M)
-    p = int(np.minimum(d, M - d)[b != 0.0].max())
-    if 4 * p + 1 >= M:
-        return None
     h = (M - 1) // 2
     rows = d[1:h + 1]
     offsets = np.concatenate((d[1:p + 1], -d[1:p + 1]))[:, None]
@@ -1093,28 +1055,25 @@ def newton_equilibrium(theta_init, spec, weights):
     odd block ``J[i, j] - J[i, M - j]``, ``i, j = 1..h``
     (:func:`_odd_solver`): a band of half-width ``p`` for a pairwise ring of
     short range, the column fold of :func:`jacobian` for every other spec.
-    Every other start solves on the ``M - 1`` pinned unknowns with the
-    pinned Jacobian (:func:`_pinned_solver`): a banded LU in the fold order
-    for a pairwise ring of short range (the rings whose LSODA Jacobian is
-    :func:`_band_jacobian`'s band), a dense LU of the pinned block of
-    :func:`jacobian` for every other spec. All four need
-    ``M <= DENSE_CAP``. A block whose 1-norm reciprocal condition is below
-    ``_RCOND_LIMIT`` raises :class:`NearSymmetryDegenerateError`. Steps are
-    halved (at most 30 times) until the residual decreases. Success means
+    Every other start solves on the ``M - 1`` pinned unknowns with a dense
+    LU of the pinned block of :func:`jacobian` (:func:`_lu_solver`), for
+    every spec. All three need ``M <= DENSE_CAP``. A block whose 1-norm
+    reciprocal condition is below ``_RCOND_LIMIT`` raises
+    :class:`NearSymmetryDegenerateError`. Steps are halved (at most 30
+    times) until the residual decreases. Success means
     ``sup |rhs| < NEWTON_TOL`` within ``NEWTON_MAX_ITER`` iterations; a
     start that meets it returns after 0, at any M, pinned exactly. The
     result reports the iterations, the step halvings and the last block's
     ``rcond``, and logs them at DEBUG level on the ``twistlab`` logger with
-    the path taken: ``odd band, half-bandwidth p``, ``odd dense``,
-    ``band, half-bandwidth 2p`` or ``dense``. The stability of the result is
-    :func:`jacobian_spectrum` at ``result.theta``.
+    the path taken: ``odd band, half-bandwidth p``, ``odd dense`` or
+    ``dense``. The stability of the result is :func:`jacobian_spectrum` at
+    ``result.theta``.
     """
     theta = _check_state(theta_init, weights).copy()
     base = _odd_base(theta)
     if base is None:                              # the M - 1 pinned unknowns theta[1:]
-        band = _band_jacobian(spec, weights)
-        path = "dense" if band is None else f"band, half-bandwidth {band[2]}"
-        factor = lambda theta: _pinned_solver(theta, spec, weights, band)
+        path = "dense"
+        factor = lambda theta: _lu_solver(jacobian(theta, spec, weights)[1:, 1:])
         x, rows, pin = theta[1:], slice(1, None), theta[:1]
         state = lambda x: np.concatenate((pin, x))
     else:                                         # the h odd unknowns x = delta[1:h + 1]
